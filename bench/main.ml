@@ -664,7 +664,9 @@ let e17 () =
 let e18 () =
   (* A service-shaped workload: few distinct kernel shapes, many
      (bounds, M) points each — the regime the plan layer targets. The
-     same requests run twice, plans off then on; the gate (also enforced
+     same requests run twice, plans off then on. "Off" is Plan_deferred
+     without a compile_pending drain: shapes only queue, so every point
+     is answered on the LP path. The gate (also enforced
      by compare.exe --strict against the baseline) is that every report
      is byte-identical and the LP-memo misses collapse from one per
      point to one per distinct shape. *)
@@ -706,7 +708,7 @@ let e18 () =
     (jsons, Obs.value c_lp_misses - misses0)
   in
   let mode0 = Engine.plan_mode () in
-  let off_jsons, off_misses = run_with Engine.Plan_off in
+  let off_jsons, off_misses = run_with Engine.Plan_deferred in
   let on_jsons, on_misses = run_with Engine.Plan_inline in
   Engine.set_plan_mode mode0;
   Engine.reset_caches ();

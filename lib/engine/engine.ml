@@ -42,7 +42,7 @@ let reset_caches = Pipeline.reset_caches
 let cache_snapshot = Pipeline.cache_snapshot
 let cache_restore = Pipeline.cache_restore
 
-type plan_mode = Pipeline.plan_mode = Plan_off | Plan_inline | Plan_deferred
+type plan_mode = Pipeline.plan_mode = Plan_inline | Plan_deferred
 
 let set_plan_mode = Pipeline.set_plan_mode
 let plan_mode = Pipeline.plan_mode

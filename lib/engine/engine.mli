@@ -107,7 +107,7 @@ val cache_restore : string -> (int * int, string) result
     Re-exports of the {!Pipeline} plan layer: per-shape compiled answer
     tables that remove simplex solves from repeat-shape workloads. *)
 
-type plan_mode = Pipeline.plan_mode = Plan_off | Plan_inline | Plan_deferred
+type plan_mode = Pipeline.plan_mode = Plan_inline | Plan_deferred
 
 val set_plan_mode : plan_mode -> unit
 val plan_mode : unit -> plan_mode

@@ -67,9 +67,10 @@ let to_string = function
   | Network_model_invalid msg -> Printf.sprintf "invalid network model: %s" msg
   | Internal msg -> Printf.sprintf "internal error: %s" msg
 
-(* Closed_form.compute and Tiling_plan.compile both refuse oversized
-   shapes with an Invalid_argument whose message carries this marker;
-   anything else invalid about a spec stays Invalid_spec. *)
+(* Tiling_plan.compile refuses oversized shapes with an Invalid_argument
+   whose message carries this marker, and Closed_form.compute passes the
+   same refusal on because it reads the compiled plan; anything else
+   invalid about a spec stays Invalid_spec. *)
 let shape_marker = "shape too large"
 
 let contains_marker msg =

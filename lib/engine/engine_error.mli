@@ -33,8 +33,9 @@ type t =
   | Overloaded of { capacity : int }
       (** admission queue full: the request was rejected, not queued *)
   | Shape_too_large of { detail : string }
-      (** {!Closed_form.compute} or {!Tiling_plan.compile} refused the
-          shape: its vertex-enumeration candidate count exceeds the
+      (** {!Tiling_plan.compile} refused the shape (directly, or
+          through {!Closed_form.compute}, which reads the compiled
+          plan): its vertex-enumeration candidate count exceeds the
           budget. Analysis requests for such shapes still succeed via
           the direct LP path; only explicit compilation fails. *)
   | Unfactorable_p of { p : int }

@@ -70,16 +70,6 @@ let add t key v =
   in
   if added then count_entry t 1
 
-let replace t key v =
-  let s = shard_of t key in
-  let added =
-    with_lock s (fun () ->
-      let fresh = not (Hashtbl.mem s.table key) in
-      Hashtbl.replace s.table key v;
-      fresh)
-  in
-  if added then count_entry t 1
-
 let find_or_add t key compute =
   match find_opt t key with
   | Some v -> v
@@ -132,8 +122,6 @@ let key_of_spec (spec : Spec.t) =
   Buffer.contents buf
 
 let key_of_shape = Tiling_plan.shape_key
-
-let key_of_basis base_key ~k = Printf.sprintf "%s;k=%d" base_key k
 
 let key_of_spec_beta spec ~beta =
   let buf = Buffer.create 128 in

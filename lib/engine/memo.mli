@@ -41,12 +41,6 @@ val find_opt : 'a t -> string -> 'a option
 val add : 'a t -> string -> 'a -> unit
 (** Insert if absent (first writer wins). *)
 
-val replace : 'a t -> string -> 'a -> unit
-(** Insert or overwrite (last writer wins) — for caches whose entries
-    improve over time, like the warm-start simplex bases where the most
-    recently certified basis is the best predictor for the next solve of
-    that shape. *)
-
 val hits : 'a t -> int
 val misses : 'a t -> int
 
@@ -73,9 +67,3 @@ val key_of_shape : Spec.t -> string
 
 val key_of_spec_beta : Spec.t -> beta:Rat.t array -> string
 (** {!key_of_spec} extended with the exact rational [beta] vector. *)
-
-val key_of_basis : string -> k:int -> string
-(** [key_of_basis base ~k] — key for the memoized optimal simplex basis
-    of the [k]-th lexmax sub-solve of the problem keyed by [base]
-    (normally a {!key_of_spec_beta}). Backs {!Tiling.basis_hooks}: a hit
-    replaces a simplex solve with a single exact certification. *)

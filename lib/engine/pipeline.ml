@@ -38,13 +38,6 @@ let lp_cache : Tiling.lp_solution Memo.t = Memo.create ~name:"lp" ()
 let analysis_cache : analysis Memo.t = Memo.create ~name:"analysis" ()
 let shared_cache : int array Memo.t = Memo.create ~name:"shared" ()
 
-(* Optimal simplex bases from earlier lexmax sub-solves, keyed by
-   (spec, beta, k). A hit lets Tiling.solve_lp_lexmax replace a simplex
-   solve with one exact certification (Simplex.certify); a stale or
-   wrong basis just fails certification and falls through, so this cache
-   can never change an answer — only its cost. *)
-let basis_cache : int array Memo.t = Memo.create ~name:"basis" ()
-
 let t_lp = Obs.timer "pipeline.solve_lp"
 let t_lower = Obs.timer "pipeline.lower_bound"
 let t_tile = Obs.timer "pipeline.tile"
@@ -67,7 +60,7 @@ let staged name tm f = Obs.Trace.with_span name (fun () -> Obs.time tm f)
    served them. Shapes whose plan compilation is refused (enumeration
    budget) are negative-cached and permanently served by the LP path. *)
 
-type plan_mode = Plan_off | Plan_inline | Plan_deferred
+type plan_mode = Plan_inline | Plan_deferred
 
 type plan_entry = Plan_ready of Tiling_plan.t | Plan_failed of string
 
@@ -133,27 +126,8 @@ let plan_of spec =
   | None -> of_entry (compile_and_install spec)
 
 let lp_lexmax spec ~beta =
-  let key = Memo.key_of_spec_beta spec ~beta in
-  Memo.find_or_add lp_cache key (fun () ->
-    (* Warm-start bases are keyed by the kernel {e shape}, not by this
-       cache's (spec, beta) key: the hooks only ever run inside this
-       miss closure, where the (spec, beta) key is by construction
-       fresh, so bases keyed by it could never be found again (that was
-       the 0%-hit-rate bug). Sharing one slot per (shape, k) across all
-       sizes is sound because a candidate basis is exactly certified
-       (Simplex.certify) before use and merely falls through on a
-       mismatch — a stale basis costs one failed certification, a fresh
-       one replaces a simplex solve. [replace] keeps the most recently
-       certified basis: with first-writer-wins a basis that stops
-       certifying would be pinned forever. *)
-    let shape = Memo.key_of_shape spec in
-    let hooks =
-      {
-        Tiling.lookup = (fun k -> Memo.find_opt basis_cache (Memo.key_of_basis shape ~k));
-        store = (fun k basis -> Memo.replace basis_cache (Memo.key_of_basis shape ~k) basis);
-      }
-    in
-    Tiling.solve_lp_lexmax ~hooks spec ~beta)
+  Memo.find_or_add lp_cache (Memo.key_of_spec_beta spec ~beta) (fun () ->
+    Tiling.solve_lp_lexmax spec ~beta)
 
 let plan_lp_solution plan spec ~beta =
   let lambda, value = Tiling_plan.answer plan ~beta in
@@ -161,25 +135,21 @@ let plan_lp_solution plan spec ~beta =
 
 let solve_lp spec ~beta =
   staged "pipeline.solve_lp" t_lp (fun () ->
-    match plan_mode () with
-    | Plan_off -> lp_lexmax spec ~beta
-    | mode -> (
-      let key = Memo.key_of_shape spec in
-      match Memo.find_opt plan_cache key with
-      | Some (Plan_ready plan) -> plan_lp_solution plan spec ~beta
-      | Some (Plan_failed _) ->
-        Obs.incr c_plan_fallbacks;
-        lp_lexmax spec ~beta
-      | None ->
-        (* Answer this request on the LP path, then make the shape's
-           plan available for every later size: inline right now, or at
-           the next batch boundary when deferred. *)
-        let sol = lp_lexmax spec ~beta in
-        (match mode with
-        | Plan_inline -> ignore (compile_and_install spec)
-        | Plan_deferred -> note_pending key spec
-        | Plan_off -> ());
-        sol))
+    let key = Memo.key_of_shape spec in
+    match Memo.find_opt plan_cache key with
+    | Some (Plan_ready plan) -> plan_lp_solution plan spec ~beta
+    | Some (Plan_failed _) ->
+      Obs.incr c_plan_fallbacks;
+      lp_lexmax spec ~beta
+    | None ->
+      (* Answer this request on the LP path, then make the shape's plan
+         available for every later size: inline right now, or at the
+         next batch boundary when deferred. *)
+      let sol = lp_lexmax spec ~beta in
+      (match plan_mode () with
+      | Plan_inline -> ignore (compile_and_install spec)
+      | Plan_deferred -> note_pending key spec);
+      sol)
 
 let key_of_request spec ~m =
   let beta = Lower_bound.beta_of_bounds ~m spec.Spec.bounds in
@@ -558,10 +528,12 @@ let hierarchy ?policy spec ~capacities =
 
 (* A versioned JSON document of every durable memo table, so a restarted
    daemon (or a fresh replica) boots warm. Persisted: the LP solutions,
-   the warm-start simplex bases, the shared tiles, the nested-tiling
-   table and the compiled plans. Deliberately not persisted: the
-   analysis cache (cheap to rebuild from a warm LP/plan table and full
-   of floats) and Plan_failed negative entries (re-failing is cheap).
+   the shared tiles, the nested-tiling table and the compiled plans.
+   Deliberately not persisted: the analysis cache (cheap to rebuild from
+   a warm LP/plan table and full of floats) and Plan_failed negative
+   entries (re-failing is cheap). Sections this build does not know —
+   the "basis" section older snapshots carry — are skipped, not
+   counted as rejected.
    Entries are emitted in sorted key order and rationals as exact
    strings, so snapshot -> restore -> snapshot is byte-identical. *)
 
@@ -624,7 +596,6 @@ let cache_snapshot () =
     str (Rat.to_string sol.Tiling.value);
     Buffer.add_string buf ",\"dual\":";
     rat_array sol.Tiling.dual);
-  section "basis" (Memo.to_alist basis_cache) (fun b -> int_array ",\"b\":" b);
   section "shared" (Memo.to_alist shared_cache) (fun t -> int_array ",\"t\":" t);
   section "nested" (Memo.to_alist nested_cache) (fun ts ->
     Buffer.add_string buf ",\"ts\":[";
@@ -709,13 +680,6 @@ let cache_restore text =
              Memo.add lp_cache k { Tiling.lambda; value; dual };
              true
            | _ -> false));
-      each "basis"
-        (keyed (fun k e ->
-           match Option.bind (Jsonlite.member "b" e) json_ints with
-           | Some b ->
-             Memo.add basis_cache k b;
-             true
-           | None -> false));
       each "shared"
         (keyed (fun k e ->
            match Option.bind (Jsonlite.member "t" e) json_ints with
@@ -763,7 +727,6 @@ let reset_caches () =
   Memo.clear shared_cache;
   Memo.clear nested_cache;
   Memo.clear plan_cache;
-  Memo.clear basis_cache;
   Memo.clear partition_cache;
   Mutex.lock pending_lock;
   Hashtbl.reset pending_shapes;

@@ -115,7 +115,6 @@ val sim_iteration_limit : int
     [plan.compile]. *)
 
 type plan_mode =
-  | Plan_off  (** never consult or build plans; every request solves the LP *)
   | Plan_inline
       (** the default: a plan miss answers via the LP, then compiles and
           installs the shape's plan before returning, so every later
@@ -124,7 +123,10 @@ type plan_mode =
       (** a plan miss answers via the LP and only {e queues} the shape;
           {!compile_pending} builds queued plans later (serve drains the
           queue on the Pool at batch boundaries, keeping compilation out
-          of request latency) *)
+          of request latency). Until {!compile_pending} runs, every
+          request for a queued shape is answered on the LP path — which
+          is how tests and the bench obtain LP-served reports to compare
+          against plan-served ones *)
 
 val set_plan_mode : plan_mode -> unit
 val plan_mode : unit -> plan_mode
@@ -241,8 +243,8 @@ val reset_caches : unit -> unit
 
 (** {1 Cache persistence}
 
-    The durable memo tables — LP solutions, warm-start simplex bases,
-    shared tiles, nested tilings and compiled plans — serialize to a
+    The durable memo tables — LP solutions, shared tiles, nested tilings
+    and compiled plans — serialize to a
     versioned JSON snapshot so a restarted daemon or a fresh replica
     boots warm ({!Cache_store} handles the file I/O; the serve CLI's
     [--cache-dir] wires both ends). Rationals travel as exact strings
@@ -251,13 +253,14 @@ val reset_caches : unit -> unit
 
 val cache_snapshot : unit -> string
 (** The current cache contents as one versioned JSON document
-    ([{"v":1, "lp":[...], "basis":[...], "shared":[...], "nested":[...],
-    "plans":[...]}]). *)
+    ([{"v":1, "lp":[...], "shared":[...], "nested":[...], "plans":[...]}]). *)
 
 val cache_restore : string -> (int * int, string) result
 (** Load a snapshot into the (typically empty) caches:
     [Ok (loaded, rejected)] on success, where [rejected] counts
     malformed entries that were skipped — corruption is tolerated
     per-entry (a damaged snapshot means a colder boot, never a dead
-    process); existing entries are never overwritten. [Error _] only
+    process); existing entries are never overwritten. Unknown sections
+    (such as the ["basis"] section of snapshots from older builds) are
+    ignored and count as neither. [Error _] only
     for an unparseable document or a version mismatch. *)

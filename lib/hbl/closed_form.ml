@@ -13,133 +13,65 @@ let eval t beta =
   | [] -> invalid_arg "Closed_form.eval: empty form"
   | p :: rest -> List.fold_left (fun acc q -> Rat.min acc (eval_piece q beta)) (eval_piece p beta) rest
 
-(* n-choose-k subset enumeration with early cutoff via a callback. *)
-let iter_combinations n k f =
-  let choice = Array.make k 0 in
-  let rec go pos start =
-    if pos = k then f choice
-    else
-      for v = start to n - (k - pos) do
-        choice.(pos) <- v;
-        go (pos + 1) (v + 1)
-      done
+(* Maximize the margin delta with g_q(beta) - g_p(beta) >= delta for
+   every other piece q, inside the box 0 <= beta_i <= box. Variables:
+   beta_1..beta_d, delta. A positive optimum means p is the unique
+   minimum somewhere in the box, and the optimal beta is such a point. *)
+let margin_lp ~box ~d p others =
+  let nvars = d + 1 in
+  let obj = Array.init nvars (fun v -> if v = d then Rat.one else Rat.zero) in
+  let constrs =
+    List.map
+      (fun q ->
+        let coeffs =
+          Array.init nvars (fun v ->
+            if v = d then Rat.minus_one else Rat.sub q.coeffs.(v) p.coeffs.(v))
+        in
+        Lp.constr coeffs Lp.Ge (Rat.sub p.constant q.constant))
+      others
+    @ List.init d (fun i ->
+        let coeffs = Array.make nvars Rat.zero in
+        coeffs.(i) <- Rat.one;
+        Lp.constr coeffs Lp.Le box)
   in
-  if k <= n then go 0 0
+  Lp.make Lp.Maximize obj constrs
 
-let binomial n k =
-  let k = min k (n - k) in
-  if k < 0 then 0.0
+(* Deterministic order: by constant, then coefficients. *)
+let compare_piece p q =
+  let c = Rat.compare p.constant q.constant in
+  if c <> 0 then c
   else begin
-    let acc = ref 1.0 in
-    for i = 0 to k - 1 do
-      acc := !acc *. float_of_int (n - i) /. float_of_int (i + 1)
-    done;
-    !acc
+    let d = Array.length p.coeffs in
+    let rec go i =
+      if i >= d then 0
+      else begin
+        let c = Rat.compare p.coeffs.(i) q.coeffs.(i) in
+        if c <> 0 then c else go (i + 1)
+      end
+    in
+    go 0
   end
 
 let compute ?(box = Rat.of_int 4) spec =
-  let d = Spec.num_loops spec and n = Spec.num_arrays spec in
-  let nv = d + n in
-  (* Constraint rows of the dual polyhedron, as (coeffs, rhs) pairs over
-     the variables (zeta_1..zeta_d, s_1..s_n):
-       row i < d:        zeta_i + sum_{j in R_i} s_j >= 1
-       row d + k:        var_k >= 0 *)
-  let rows =
-    Array.init (d + nv) (fun r ->
-      if r < d then begin
-        let coeffs = Array.make nv Rat.zero in
-        coeffs.(r) <- Rat.one;
-        List.iter (fun j -> coeffs.(d + j) <- Rat.one) (Spec.touching_arrays spec r);
-        (coeffs, Rat.one)
-      end
-      else begin
-        let coeffs = Array.make nv Rat.zero in
-        coeffs.(r - d) <- Rat.one;
-        (coeffs, Rat.zero)
-      end)
+  let d = Spec.num_loops spec in
+  (* The compiled plan's level-0 set holds every vertex of the dual
+     polyhedron (plus, possibly, degenerate feasible points: those are
+     convex combinations of vertices plus a recession direction, so they
+     are never strictly minimal and the pruning below drops them).
+     Identical affine functions collapse under [sort_uniq]. *)
+  let pieces =
+    Tiling_plan.pieces (Tiling_plan.compile spec)
+    |> List.map (fun (constant, coeffs) -> { constant; coeffs })
+    |> List.sort_uniq compare_piece
   in
-  if binomial (d + nv) nv > 1e6 then
-    invalid_arg "Closed_form.compute: shape too large for vertex enumeration";
-  let satisfied point =
-    Array.for_all
-      (fun (coeffs, rhs) -> Rat.compare (Vec.dot coeffs point) rhs >= 0)
-      rows
-  in
-  let vertices = Hashtbl.create 64 in
-  iter_combinations (d + nv) nv (fun choice ->
-    let a = Mat.init nv nv (fun i j -> (fst rows.(choice.(i))).(j)) in
-    let rhs = Array.init nv (fun i -> snd rows.(choice.(i))) in
-    if Mat.rank a = nv then begin
-      match Mat.solve a rhs with
-      | Some point when satisfied point ->
-        let key = String.concat "," (List.map Rat.to_string (Array.to_list point)) in
-        if not (Hashtbl.mem vertices key) then Hashtbl.add vertices key point
-      | _ -> ()
-    end);
-  let piece_of_vertex point =
-    let constant = ref Rat.zero in
-    for j = 0 to n - 1 do
-      constant := Rat.add !constant point.(d + j)
-    done;
-    { constant = !constant; coeffs = Array.sub point 0 d }
-  in
-  let raw_pieces =
-    Hashtbl.fold (fun _ point acc -> piece_of_vertex point :: acc) vertices []
-  in
-  (* Dedupe identical affine functions. *)
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun p ->
-      let key =
-        Rat.to_string p.constant ^ "|"
-        ^ String.concat "," (List.map Rat.to_string (Array.to_list p.coeffs))
-      in
-      if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key p)
-    raw_pieces;
-  let pieces = Hashtbl.fold (fun _ p acc -> p :: acc) tbl [] in
-  (* Deterministic order: by constant, then coefficients. *)
-  let cmp p q =
-    let c = Rat.compare p.constant q.constant in
-    if c <> 0 then c
-    else begin
-      let rec go i =
-        if i >= d then 0
-        else begin
-          let c = Rat.compare p.coeffs.(i) q.coeffs.(i) in
-          if c <> 0 then c else go (i + 1)
-        end
-      in
-      go 0
-    end
-  in
-  let pieces = List.sort cmp pieces in
   (* Sequentially drop pieces that are nowhere strictly minimal on the
      box: each drop is sound because the remaining pieces pointwise attain
      the same minimum. *)
   let strictly_minimal_somewhere p others =
     match others with
     | [] -> true
-    | _ ->
-      (* Variables: beta_1..beta_d, delta. Maximize delta subject to
-           g_q(beta) - g_p(beta) >= delta   for all other pieces q
-           beta_i <= box. *)
-      let nvars = d + 1 in
-      let obj = Array.init nvars (fun v -> if v = d then Rat.one else Rat.zero) in
-      let constrs =
-        List.map
-          (fun q ->
-            let coeffs =
-              Array.init nvars (fun v ->
-                if v = d then Rat.minus_one else Rat.sub q.coeffs.(v) p.coeffs.(v))
-            in
-            Lp.constr coeffs Lp.Ge (Rat.sub p.constant q.constant))
-          others
-        @ List.init d (fun i ->
-            let coeffs = Array.make nvars Rat.zero in
-            coeffs.(i) <- Rat.one;
-            Lp.constr coeffs Lp.Le box)
-      in
-      (match Simplex.solve (Lp.make Lp.Maximize obj constrs) with
+    | _ -> (
+      match Simplex.solve (margin_lp ~box ~d p others) with
       | Simplex.Optimal sol -> Rat.sign sol.Simplex.objective > 0
       | Simplex.Unbounded _ -> true
       | Simplex.Infeasible -> false)
@@ -150,8 +82,7 @@ let compute ?(box = Rat.of_int 4) spec =
       if strictly_minimal_somewhere p (List.rev_append kept rest) then prune (p :: kept) rest
       else prune kept rest
   in
-  let pieces = prune [] pieces in
-  { loops = spec.Spec.loops; box; pieces }
+  { loops = spec.Spec.loops; box; pieces = prune [] pieces }
 
 let num_pieces t = List.length t.pieces
 
@@ -165,30 +96,13 @@ type region = {
   witness : Rat.t array;
 }
 
-(* A strictly interior point of piece [p]'s region: maximize the margin
-   delta with g_q - g_p >= delta for all other pieces, inside the box.
-   Kept pieces are strictly minimal somewhere, so delta > 0 exists. *)
+(* A strictly interior point of piece [p]'s region. Kept pieces are
+   strictly minimal somewhere, so a positive margin exists. *)
 let interior_witness ~box ~d p others =
   match others with
   | [] -> Array.make d (Rat.div box Rat.two)
   | _ ->
-    let nvars = d + 1 in
-    let obj = Array.init nvars (fun v -> if v = d then Rat.one else Rat.zero) in
-    let constrs =
-      List.map
-        (fun q ->
-          let coeffs =
-            Array.init nvars (fun v ->
-              if v = d then Rat.minus_one else Rat.sub q.coeffs.(v) p.coeffs.(v))
-          in
-          Lp.constr coeffs Lp.Ge (Rat.sub p.constant q.constant))
-        others
-      @ List.init d (fun i ->
-          let coeffs = Array.make nvars Rat.zero in
-          coeffs.(i) <- Rat.one;
-          Lp.constr coeffs Lp.Le box)
-    in
-    let sol = Simplex.solve_exn (Lp.make Lp.Maximize obj constrs) in
+    let sol = Simplex.solve_exn (margin_lp ~box ~d p others) in
     Array.sub sol.Simplex.primal 0 d
 
 let regions t =

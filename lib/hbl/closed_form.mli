@@ -6,10 +6,11 @@
     (5.1) to a multiparametric LP solver; here we compute it directly:
     [f(beta) = min] over the vertices [(zeta, s)] of the dual polyhedron
     [{zeta, s >= 0 : zeta_i + sum_{j in R_i} s_j >= 1}] of the affine
-    functions [sum_j s_j + sum_i zeta_i beta_i]. Vertices are enumerated
-    exactly (the polyhedra here are tiny), and affine pieces that are
-    nowhere strictly minimal on the box [0 <= beta_i <= box] are pruned
-    with an auxiliary LP.
+    functions [sum_j s_j + sum_i zeta_i beta_i]. The vertices are the
+    level-0 set of the shape's compiled {!Tiling_plan} (the repository's
+    one dual-vertex enumerator); they are sorted, deduplicated, and
+    affine pieces that are nowhere strictly minimal on the box
+    [0 <= beta_i <= box] are pruned with an auxiliary LP.
 
     For matmul this yields the familiar
     [f(beta) = min(3/2, 1 + beta_1, 1 + beta_2, 1 + beta_3)]. *)
@@ -27,8 +28,9 @@ type t = private {
 
 val compute : ?box:Rat.t -> Spec.t -> t
 (** Default box upper bound is 4 (i.e. loop bounds up to [M^4]).
-    @raise Invalid_argument if the shape is too large to enumerate
-    (more than [10^6] candidate bases). *)
+    @raise Invalid_argument (message containing ["shape too large"]) if
+    {!Tiling_plan.compile} refuses the shape: exactly the shapes past the
+    plan's enumeration budget. *)
 
 val eval : t -> Rat.t array -> Rat.t
 (** [min] of the pieces at [beta]. Agrees with the LP-(5.1) optimum for

@@ -15,18 +15,12 @@ let c_search_nodes = Obs.counter "tiling.search.nodes"
 let c_search_leaves = Obs.counter "tiling.search.leaves"
 let c_search_pruned_footprint = Obs.counter "tiling.search.pruned_footprint"
 let c_search_pruned_bound = Obs.counter "tiling.search.pruned_bound"
-let c_warm_basis_hits = Obs.counter "tiling.search.warm_basis_hits"
 let c_float_confirmed = Obs.counter "tiling.search.float_confirmed"
 let c_exact_fallbacks = Obs.counter "tiling.search.exact_fallbacks"
 
 let solve_lp spec ~beta =
   let sol = Simplex.solve_exn (Hbl_lp.tiling spec ~beta) in
   { lambda = sol.Simplex.primal; value = sol.Simplex.objective; dual = sol.Simplex.dual }
-
-type basis_hooks = {
-  lookup : int -> int array option;
-  store : int -> int array -> unit;
-}
 
 (* The optimal face of LP (5.1) is rarely a point, and which of its
    vertices the simplex lands on depends on pivot order — too fragile a
@@ -37,15 +31,14 @@ type basis_hooks = {
 
    Each per-k solve consumes only its optimal objective, which is unique
    whatever basis the solver lands on. That makes the per-k solves safe
-   to serve from any exactly-certified basis: try a memoized basis from
-   an earlier solve of this shape, then the float simplex as a
-   pre-screen, and confirm either with Simplex.certify (exact
-   arithmetic, zero pivots). Only when certification fails — degenerate
+   to serve from any exactly-certified basis: the float simplex
+   pre-screens, and Simplex.certify (exact arithmetic, zero pivots)
+   confirms its final basis. Only when certification fails — degenerate
    ties the float solver mis-resolves — does the full exact solver run.
    The base solve stays on the cold exact path: its dual vector is
    returned to callers and is NOT unique on degenerate faces, so serving
    it from a different basis would break byte-identity. *)
-let solve_lp_lexmax ?hooks spec ~beta =
+let solve_lp_lexmax spec ~beta =
   let base = Hbl_lp.tiling spec ~beta in
   let sol0 = Simplex.solve_exn base in
   let v = sol0.Simplex.objective in
@@ -53,40 +46,19 @@ let solve_lp_lexmax ?hooks spec ~beta =
   let lambda = Array.make d Rat.zero in
   let base_constrs = Array.to_list (Lp.constraints base) in
   let sum_row = Lp.constr ~name:"lex_total" (Array.make d Rat.one) Lp.Eq v in
-  let lookup k = match hooks with Some h -> h.lookup k | None -> None in
-  let store k b = match hooks with Some h -> h.store k b | None -> () in
-  let objective_of k lp =
-    let warm =
-      match lookup k with
-      | None -> None
-      | Some b -> (
-        match Simplex.certify lp ~basis:b with
-        | Some s ->
-          Obs.incr c_warm_basis_hits;
-          Some s
-        | None -> None)
-    in
+  let objective_of lp =
     let certified =
-      match warm with
-      | Some _ -> warm
-      | None -> (
-        match Simplex_float.solve lp with
-        | Simplex_float.Optimal fs -> (
-          match Simplex.certify lp ~basis:fs.Simplex_float.basis with
-          | Some s ->
-            Obs.incr c_float_confirmed;
-            store k s.Simplex.basis;
-            Some s
-          | None -> None)
-        | Simplex_float.Unbounded | Simplex_float.Infeasible -> None)
+      match Simplex_float.solve lp with
+      | Simplex_float.Optimal fs -> Simplex.certify lp ~basis:fs.Simplex_float.basis
+      | Simplex_float.Unbounded | Simplex_float.Infeasible -> None
     in
     match certified with
-    | Some s -> s.Simplex.objective
+    | Some s ->
+      Obs.incr c_float_confirmed;
+      s.Simplex.objective
     | None ->
       Obs.incr c_exact_fallbacks;
-      let s = Simplex.solve_exn lp in
-      store k s.Simplex.basis;
-      s.Simplex.objective
+      (Simplex.solve_exn lp).Simplex.objective
   in
   for k = 0 to d - 2 do
     let fixed =
@@ -98,7 +70,7 @@ let solve_lp_lexmax ?hooks spec ~beta =
     let obj = Array.make d Rat.zero in
     obj.(k) <- Rat.one;
     let lp = Lp.make Lp.Maximize obj (base_constrs @ (sum_row :: fixed)) in
-    lambda.(k) <- objective_of k lp
+    lambda.(k) <- objective_of lp
   done;
   lambda.(d - 1) <- Array.fold_left Rat.sub v (Array.sub lambda 0 (d - 1));
   { lambda; value = v; dual = sol0.Simplex.dual }

@@ -17,18 +17,7 @@ val solve_lp : Spec.t -> beta:Rat.t array -> lp_solution
 (** Whichever optimal vertex the simplex pivots to — fine when only the
     objective matters. *)
 
-type basis_hooks = {
-  lookup : int -> int array option;
-      (** [lookup k] — a previously stored optimal basis for the [k]-th
-          lexmax sub-solve of this shape, or [None] *)
-  store : int -> int array -> unit;
-      (** [store k basis] — remember the optimal basis of sub-solve [k] *)
-}
-(** Warm-start cache interface for {!solve_lp_lexmax}. The engine backs
-    this with a {!Memo} table keyed by shape; a hit turns a simplex solve
-    into a single {!Simplex.certify} check. *)
-
-val solve_lp_lexmax : ?hooks:basis_hooks -> Spec.t -> beta:Rat.t array -> lp_solution
+val solve_lp_lexmax : Spec.t -> beta:Rat.t array -> lp_solution
 (** The {e lexicographically maximal} optimal solution: among all optima
     of (5.1), the one maximizing [lambda_0], then [lambda_1], ... —
     unique, hence safe to compare bit-for-bit across solver paths. This
@@ -38,13 +27,11 @@ val solve_lp_lexmax : ?hooks:basis_hooks -> Spec.t -> beta:Rat.t array -> lp_sol
 
     The [d] per-[k] sub-solves consume only their (unique) optimal
     objective value, so they may be answered by any certified optimal
-    basis: with [hooks] a remembered basis is tried first, then a
-    floating-point pre-screen ({!Simplex_float.solve}) whose final basis
-    is confirmed exactly by {!Simplex.certify}, and only if both fail
+    basis: a floating-point pre-screen ({!Simplex_float.solve}) proposes
+    one, {!Simplex.certify} confirms it exactly, and only if that fails
     does the exact solver run from scratch. The initial solve always runs
     exactly because its [dual] vector is consumed and dual multipliers at
-    degenerate optima are not unique. Results are bit-identical with and
-    without [hooks]. *)
+    degenerate optima are not unique. *)
 
 val of_lambda : Spec.t -> m:int -> Rat.t array -> int array
 (** Integer tile from a (feasible) continuous LP solution: round

@@ -41,6 +41,7 @@ let shape_key (spec : Spec.t) =
 let key t = t.key
 let dims t = (t.d, Array.length t.supports)
 let num_pieces t = List.length t.levels.(0)
+let pieces t = List.map (fun v -> (Array.fold_left Rat.add Rat.zero v.vs, v.vz)) t.levels.(0)
 let num_vertices t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.levels
 
 (* ------------------------------------------------------------------ *)

@@ -7,11 +7,13 @@
     polyhedron [D = { (zeta, s) >= 0 : zeta_i + sum_{j : i in supp j} s_j
     >= 1 }] — and [D] depends only on the kernel's {e shape} (the
     multiset of array supports), not on the bounds or the cache size.
-    {!Closed_form} enumerates those vertices once per shape to print the
-    pieces and critical regions; this module compiles the same vertex
-    sets into a {e plan}: a lookup structure that answers any
-    [(L_1..L_d, M)] request with pure rational arithmetic — no simplex
-    solves — and returns exactly the answer the LP pipeline produces.
+    This module is the one place that enumerates those vertices. It
+    compiles them, once per shape, into a {e plan}: a lookup structure
+    that answers any [(L_1..L_d, M)] request with pure rational
+    arithmetic — no simplex solves — and returns exactly the answer the
+    LP pipeline produces. {!Closed_form.compute} reads the same plan's
+    level-0 vertices ({!pieces}) and prunes them to print the pieces and
+    critical regions.
 
     {2 Canonical answers}
 
@@ -53,7 +55,8 @@ val compile : Spec.t -> t
     milliseconds.
     @raise Invalid_argument (message containing ["shape too large"],
     classified as [Engine_error.Shape_too_large]) when the candidate
-    count exceeds an enumeration budget. *)
+    count exceeds an enumeration budget. This is the only enumeration
+    budget: {!Closed_form.compute} inherits the refusal. *)
 
 val key : t -> string
 (** The {!shape_key} this plan was compiled for. *)
@@ -66,6 +69,13 @@ val num_pieces : t -> int
     the closed form. Every piece {!Closed_form.compute} keeps appears
     here; this set additionally retains pieces minimal only outside the
     box. *)
+
+val pieces : t -> (Rat.t * Rat.t array) list
+(** The level-0 vertices as affine functions of [beta]:
+    [(sum_j s_j, zeta)], one per stored vertex, in stored order
+    (duplicates possible — distinct vertices may price identically).
+    {!Closed_form.compute} sorts, dedupes and box-prunes exactly this
+    list. *)
 
 val num_vertices : t -> int
 (** Total stored vertices across all [d+1] levels. *)

@@ -154,17 +154,48 @@ let admit cfg adm item =
 (* Execution                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* What the request log says about one finished request. Written by
+   [process] in response order, not by the worker that finished it, so
+   the log lines of a batch come out in the same order as its responses
+   whatever the pool width. *)
+type done_log = {
+  l_op : string;
+  l_seconds : float;  (** admission to completion, measured by the worker *)
+  l_stages : (string * float) list;  (** per-stage wall times, for the slow log *)
+}
+
+let log_request cfg item res l =
+  Obs.Log.with_corr item.it_id @@ fun () ->
+  let status = match res with Ok _ -> "ok" | Error e -> Engine_error.code e in
+  Obs.Log.info "serve.request"
+    [
+      ("id", `S item.it_id);
+      ("op", `S l.l_op);
+      ("status", `S status);
+      ("ms", `F (1e3 *. l.l_seconds));
+    ];
+  (* The slow-request log carries the request's own per-stage wall
+     times (the same deltas a "timings":true client would receive), so
+     triage can tell an LP-bound request from a simulation-bound one
+     without re-running it. *)
+  match cfg.slow_s with
+  | Some s when l.l_seconds >= s ->
+    Obs.Log.warn "serve.slow_request"
+      (("id", `S item.it_id) :: ("op", `S l.l_op) :: ("ms", `F (1e3 *. l.l_seconds))
+      :: List.map (fun (stage, d) -> (stage ^ "_ms", `F (1e3 *. d))) l.l_stages)
+  | _ -> ()
+
 (* One admitted request as a staged pool task: the analytic half runs at
    the item's class, and a simulation-carrying request returns [More] so
    its heavy tail re-queues at Simulation class (Pipeline.run_staged).
    The serve-level latency clock spans admission-to-finish across both
-   stages; the ambient correlation id is re-established inside the
-   continuation because it is domain-local and the tail may run on a
-   different worker. *)
-let run_one cfg item =
+   stages and stops here, at completion; the ambient correlation id is
+   re-established inside the continuation because it is domain-local and
+   the tail may run on a different worker. *)
+let run_one item =
   Obs.add_gauge g_inflight 1;
   let t0 = Unix.gettimeofday () in
-  let finish ~op res timings =
+  let finish ~op res stages =
     let dt = Unix.gettimeofday () -. t0 in
     Obs.add_seconds t_request dt;
     Obs.add_seconds
@@ -172,21 +203,8 @@ let run_one cfg item =
       | Pool.Analytic -> t_request_analytic
       | Pool.Simulation -> t_request_simulation)
       dt;
-    let status = match res with Ok _ -> "ok" | Error e -> Engine_error.code e in
-    Obs.Log.info "serve.request"
-      [ ("id", `S item.it_id); ("op", `S op); ("status", `S status); ("ms", `F (1e3 *. dt)) ];
-    (* The slow-request log carries the request's own per-stage wall
-       times (the same deltas a "timings":true client would receive), so
-       triage can tell an LP-bound request from a simulation-bound one
-       without re-running it. *)
-    (match cfg.slow_s with
-    | Some s when dt >= s ->
-      Obs.Log.warn "serve.slow_request"
-        (("id", `S item.it_id) :: ("op", `S op) :: ("ms", `F (1e3 *. dt))
-        :: List.map (fun (stage, d) -> (stage ^ "_ms", `F (1e3 *. d))) timings)
-    | _ -> ());
     Obs.add_gauge g_inflight (-1);
-    (item, res)
+    (item, res, { l_op = op; l_seconds = dt; l_stages = stages })
   in
   Obs.Log.with_corr item.it_id @@ fun () ->
   match item.it_work with
@@ -264,11 +282,11 @@ let process cfg admitted rejected =
   let batch_t0 = Unix.gettimeofday () in
   Obs.time t_batch @@ fun () ->
   let outcomes =
-    Pool.map_staged_list ~jobs:cfg.jobs ~classify:(fun i -> i.it_class) (run_one cfg)
-      admitted
+    Pool.map_staged_list ~jobs:cfg.jobs ~classify:(fun i -> i.it_class) run_one admitted
   in
   List.iter
-    (fun (item, res) ->
+    (fun (item, res, log) ->
+      log_request cfg item res log;
       let id = Some item.it_id in
       let v = item.it_v and warnings = item.it_warnings in
       let line =

@@ -67,7 +67,8 @@
     [serve.request.simulation]. Each batch is a [serve.batch] trace
     span with one [serve.request] child per request. Structured log
     events (when a {!Obs.Log} sink is set): [serve.request] (info, per
-    request: id/op/status/ms), [serve.slow_request] (warn, see
+    request: id/op/status/ms, written just before the response line, so
+    log order = response order), [serve.slow_request] (warn, see
     [slow_s]), [serve.overloaded] (warn, per rejection), [serve.batch]
     (debug, per cycle), [serve.listen] / [serve.connection] /
     [serve.disconnect] (info, connection lifecycle). *)

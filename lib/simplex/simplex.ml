@@ -342,13 +342,13 @@ let solve_exn lp =
   | Infeasible -> failwith "Simplex.solve_exn: infeasible"
 
 (* Exact optimality certificate for a candidate basis (e.g. the one the
-   float solver landed on, or a memoized basis from an earlier solve of
-   the same shape). Gauss-Jordan-eliminate the basis columns, then check
-   primal feasibility (non-negative basic values) and dual feasibility
-   (non-negative reduced costs on every real column). Both checks passing
-   proves the basis optimal, so the extracted solution is exact — no
-   simplex pivoting ran. Any failure (singular, artificial in the basis,
-   an infeasibility) returns [None]; callers fall back to [solve]. *)
+   float solver landed on). Gauss-Jordan-eliminate the basis columns,
+   then check primal feasibility (non-negative basic values) and dual
+   feasibility (non-negative reduced costs on every real column). Both
+   checks passing proves the basis optimal, so the extracted solution is
+   exact — no simplex pivoting ran. Any failure (singular, artificial in
+   the basis, an infeasibility) returns [None]; callers fall back to
+   [solve]. *)
 let certify (lp : Lp.t) ~basis : solution option =
   let ({ st; _ } as p) = prepare lp in
   let plausible =

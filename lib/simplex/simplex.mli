@@ -41,8 +41,7 @@ val certify : Lp.t -> basis:int array -> solution option
     feasibility (all basic values non-negative) and dual feasibility (all
     reduced costs non-negative). On success the returned solution is
     exactly optimal and was obtained without a single simplex pivot —
-    this is how a {!Simplex_float} pre-screen or a memoized basis from a
-    previous solve is confirmed. Returns [None] when the basis is
+    this is how a {!Simplex_float} pre-screen is confirmed. Returns [None] when the basis is
     malformed, singular, contains an artificial column, or is simply not
     optimal for this [lp]; callers then fall back to {!solve}. *)
 

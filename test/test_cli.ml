@@ -86,6 +86,23 @@ let test_closed_form_too_large () =
 
 let test_regions () = check_ok "regions" "regions -p nbody" [ "is optimal where"; "witness" ]
 
+(* Every preset's closed form and critical regions, byte for byte: the
+   golden file pins the piece list, its order and the region witnesses. *)
+let test_closed_form_regions_golden () =
+  let out =
+    List.concat_map
+      (fun (name, _) ->
+        List.map
+          (fun cmd ->
+            let code, text = run (Printf.sprintf "%s -p %s" cmd name) in
+            Printf.sprintf "== %s -p %s ==\n%sexit %d\n" cmd name text code)
+          [ "closed-form"; "regions" ])
+      (Kernels.all ())
+  in
+  Alcotest.(check string) "closed-form and regions output"
+    (In_channel.with_open_bin "golden/closed_form_regions.txt" In_channel.input_all)
+    (String.concat "" out)
+
 let test_simulate () =
   check_ok "simulate" "simulate -p matvec -m 512 --schedule optimal --policy lru"
     [ "words moved"; "ratio" ];
@@ -617,6 +634,8 @@ let () =
           Alcotest.test_case "closed-form too large" `Quick test_closed_form_too_large;
           Alcotest.test_case "compile" `Quick test_compile;
           Alcotest.test_case "regions" `Quick test_regions;
+          Alcotest.test_case "closed-form and regions golden" `Quick
+            test_closed_form_regions_golden;
           Alcotest.test_case "simulate" `Quick test_simulate;
           Alcotest.test_case "hierarchy" `Quick test_hierarchy;
           Alcotest.test_case "partition" `Quick test_partition;

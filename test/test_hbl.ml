@@ -358,11 +358,13 @@ let test_closed_form_eval_matches_lp () =
 (* ------------------------------------------------------------------ *)
 
 let test_analyze_matmul () =
-  let r = Analyze.run (Kernels.matmul ~l1:256 ~l2:256 ~l3:256) ~m:1024 in
-  Alcotest.(check bool) "tile feasible" true
-    (Tiling.is_feasible r.Analyze.spec ~m:1024 r.Analyze.tile);
-  Alcotest.(check bool) "attainment close" true
-    (r.Analyze.attainment >= 0.9 && r.Analyze.attainment <= 6.0)
+  match Pipeline.run_checked (Pipeline.request (Kernels.matmul ~l1:256 ~l2:256 ~l3:256) ~m:1024) with
+  | Error e -> Alcotest.failf "analysis failed: %s" (Engine_error.to_string e)
+  | Ok r ->
+    Alcotest.(check bool) "tile feasible" true
+      (Tiling.is_feasible r.Report.spec ~m:1024 r.Report.tile);
+    Alcotest.(check bool) "attainment close" true
+      (r.Report.attainment >= 0.9 && r.Report.attainment <= 6.0)
 
 
 (* ------------------------------------------------------------------ *)
@@ -587,38 +589,6 @@ let test_huge_bounds_terminate () =
   check_traffic "analytic" (Tiling.analytic_traffic spec tile);
   check_traffic "retained" (Tiling.analytic_traffic_retained spec tile);
   Alcotest.(check bool) "num_tiles saturates positive" true (Tiling.num_tiles spec tile > 0)
-
-(* The warm-start hooks can only change the cost of solve_lp_lexmax,
-   never its answer: with a hooks-backed cache serving every repeat, the
-   solutions must be identical field for field. *)
-let test_lexmax_hooks_identity () =
-  let tbl : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-  let hooks =
-    {
-      Tiling.lookup = (fun k -> Hashtbl.find_opt tbl k);
-      store = (fun k b -> Hashtbl.replace tbl k b);
-    }
-  in
-  List.iter
-    (fun (_, spec) ->
-      let beta = Lower_bound.beta_of_bounds ~m:256 spec.Spec.bounds in
-      let cold = Tiling.solve_lp_lexmax spec ~beta in
-      let warm1 = Tiling.solve_lp_lexmax ~hooks spec ~beta in
-      (* second warm run is served from the stored bases *)
-      let warm2 = Tiling.solve_lp_lexmax ~hooks spec ~beta in
-      List.iter
-        (fun (sol : Tiling.lp_solution) ->
-          check_r "value" cold.Tiling.value sol.Tiling.value;
-          Array.iteri
-            (fun i v -> check_r (Printf.sprintf "lambda %d" i) cold.Tiling.lambda.(i) v)
-            sol.Tiling.lambda;
-          Array.iteri
-            (fun i v -> check_r (Printf.sprintf "dual %d" i) cold.Tiling.dual.(i) v)
-            sol.Tiling.dual)
-        [ warm1; warm2 ];
-      Hashtbl.reset tbl)
-    (Kernels.all ())
-
 
 let test_theorem2_q_validation () =
   Alcotest.check_raises "bad q index" (Invalid_argument "Hbl_lp.theorem2_q: index out of range")
@@ -871,7 +841,6 @@ let () =
           Alcotest.test_case "no worse than scaled" `Quick test_optimal_shared_no_worse_than_scaled;
           Alcotest.test_case "validation" `Quick test_optimal_shared_validation;
           Alcotest.test_case "huge bounds terminate" `Quick test_huge_bounds_terminate;
-          Alcotest.test_case "lexmax hooks identity" `Quick test_lexmax_hooks_identity;
         ] );
       ("shared-tile properties", List.map QCheck_alcotest.to_alcotest shared_props);
       ("properties", List.map QCheck_alcotest.to_alcotest props);

@@ -2,32 +2,35 @@
    simulated execution, cross-checking analytic and measured traffic
    against the lower bound for each stock kernel. *)
 
-let analyze_text ?name text ~m =
-  let spec = Parser.parse_exn ?name text in
-  Analyze.run spec ~m
+let analyze spec ~m =
+  match Pipeline.run_checked (Pipeline.request spec ~m) with
+  | Ok report -> report
+  | Error e -> Alcotest.failf "analysis failed: %s" (Engine_error.to_string e)
+
+let analyze_text ?name text ~m = analyze (Parser.parse_exn ?name text) ~m
 
 let test_dsl_to_simulation_matmul () =
   let report = analyze_text "i = 48, j = 48, k = 48 : C[i,k] += A[i,j] * B[j,k]" ~m:512 in
-  let spec = report.Analyze.spec in
+  let spec = report.Report.spec in
   (* re-derive a tile under the per-array model scaled for a shared cache *)
   let tile = Tiling.optimal spec ~m:(512 / 3) in
   let run = Executor.run spec ~schedule:(Schedules.Tiled tile) ~capacity:512 in
-  let ratio = float_of_int run.Executor.words_moved /. report.Analyze.bound.Lower_bound.words in
+  let ratio = float_of_int run.Executor.words_moved /. report.Report.bound.Lower_bound.words in
   Alcotest.(check bool) "1 <= measured/bound <= 8" true (ratio >= 0.999 && ratio <= 8.0)
 
 let test_all_kernels_pipeline () =
   List.iter
     (fun (name, spec) ->
       let m = 1024 in
-      let report = Analyze.run spec ~m in
+      let report = analyze spec ~m in
       Alcotest.(check bool) (name ^ ": tile feasible") true
-        (Tiling.is_feasible spec ~m report.Analyze.tile);
+        (Tiling.is_feasible spec ~m report.Report.tile);
       Alcotest.(check bool) (name ^ ": bound positive") true
-        (report.Analyze.bound.Lower_bound.words > 0.0);
+        (report.Report.bound.Lower_bound.words > 0.0);
       (* analytic traffic of the constructed tiling never beats the bound *)
-      let moved = report.Analyze.traffic.Tiling.reads +. report.Analyze.traffic.Tiling.writes in
+      let moved = report.Report.traffic.Tiling.reads +. report.Report.traffic.Tiling.writes in
       Alcotest.(check bool) (name ^ ": analytic >= bound") true
-        (moved >= report.Analyze.bound.Lower_bound.words *. 0.999))
+        (moved >= report.Report.bound.Lower_bound.words *. 0.999))
     (Kernels.all ())
 
 let test_small_kernels_measured_vs_analytic () =
@@ -69,14 +72,14 @@ let test_conv_motivating_example () =
   (match Schedules.validate spec (Schedules.Tiled classic) with
   | Ok () -> Alcotest.fail "classic tile should be infeasible (c=4 < side)"
   | Error _ -> ());
-  let report = Analyze.run spec ~m in
+  let report = analyze spec ~m in
   Alcotest.(check bool) "our tile feasible" true
-    (Tiling.is_feasible spec ~m report.Analyze.tile);
-  Alcotest.(check bool) "attainment" true (report.Analyze.attainment <= 8.0)
+    (Tiling.is_feasible spec ~m report.Report.tile);
+  Alcotest.(check bool) "attainment" true (report.Report.attainment <= 8.0)
 
 let test_report_pp_renders () =
-  let report = Analyze.run (Kernels.matmul ~l1:32 ~l2:32 ~l3:4) ~m:256 in
-  let s = Format.asprintf "%a" Analyze.pp report in
+  let report = analyze (Kernels.matmul ~l1:32 ~l2:32 ~l3:4) ~m:256 in
+  let s = Format.asprintf "%a" Report.pp report in
   List.iter
     (fun frag ->
       Alcotest.(check bool) (frag ^ " in report") true (Astring.String.is_infix ~affix:frag s))

@@ -258,8 +258,10 @@ let run_reports reqs =
 
 let test_plan_off_vs_inline_identical () =
   let reqs, distinct = repeat_shape_reqs () in
+  (* "Off" is Plan_deferred never drained by compile_pending: shapes
+     only queue, so every point is answered on the LP path. *)
   let off =
-    with_mode Engine.Plan_off (fun () ->
+    with_mode Engine.Plan_deferred (fun () ->
       Engine.reset_caches ();
       let m0 = Obs.value c_lp_misses in
       let r = run_reports reqs in
