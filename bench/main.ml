@@ -1,10 +1,10 @@
 (* Reproduction harness: regenerates every quantitative claim of the
    paper's evaluation (Sections 3-7, worked examples in Section 6) as
-   experiment tables E1..E17 (see DESIGN.md for the per-experiment index
+   experiment tables E1..E20 (see DESIGN.md for the per-experiment index
    and EXPERIMENTS.md for recorded paper-vs-measured results), followed by
    Bechamel microbenchmarks of the solver components.
 
-   The tables are driven by the unified Engine pipeline (lib/engine):
+   The tables are driven by the unified analysis pipeline (Pipeline):
    repeated (spec, beta, M) analyses hit the memo cache, independent
    sweep points run in parallel over domains (PROJTILE_JOBS overrides the
    pool size), and each experiment's wall time plus its headline
@@ -56,7 +56,7 @@ let json_escape s =
    tables are rerun in-process). *)
 let write_json ~s0 path =
   let oc = open_out path in
-  let hits, misses = Engine.cache_stats () in
+  let hits, misses = Pipeline.cache_stats () in
   (* "ts" (write time, unix seconds) is informational: compare.exe
      ignores it, like every other field it does not recognize. *)
   Printf.fprintf oc "{\"v\":%d,\"ts\":%.6f,\"engine_cache\":{" Report.schema_version
@@ -105,7 +105,7 @@ let e1 () =
   List.iter
     (fun (l1, l2, l3, m) ->
       let spec = Kernels.matmul ~l1 ~l2 ~l3 in
-      let b = Engine.lower_bound spec ~m in
+      let b = Pipeline.lower_bound spec ~m in
       let formula =
         Float.max
           (fint l1 *. fint l2 *. fint l3 /. sqrt (fint m))
@@ -134,7 +134,10 @@ let e2 () =
   List.iter
     (fun (alpha, tile) ->
       let run_tile = Array.map2 min tile small.Spec.bounds in
-      let words = Engine.words_moved small ~m:(3 * m) (Engine.Fixed run_tile) in
+      let words =
+        (Pipeline.simulate small ~m:(3 * m) (Pipeline.sim (Pipeline.Fixed run_tile)))
+          .Report.words_moved
+      in
       rowf "%8s | %24s %10d %10d | %12d\n" (Rat.to_string alpha)
         (Format.asprintf "%a" (Tiling.pp spec) tile)
         (Tiling.volume tile) (m * l3) words;
@@ -165,7 +168,7 @@ let e3 () =
     (fun (j, k, d, beta) ->
       let bounds = Array.make d 4 in
       let spec = Kernels.tensor_contraction ~j ~k ~d ~bounds in
-      let v = (Engine.solve_lp spec ~beta).Tiling.value in
+      let v = (Pipeline.solve_lp spec ~beta).Tiling.value in
       (* gamma grouping: gamma1 = x1..xj, gamma2 = x_{j+1}..x_{k-1},
          gamma3 = x_k..x_d; the grouped problem is matmul with box
          constraints Gamma_i. *)
@@ -200,7 +203,11 @@ let e3 () =
 (* E4 — Section 6.2 / Section 1: pointwise-convolution layers          *)
 (* ------------------------------------------------------------------ *)
 
-let std_sims = Engine.[ Pipeline.sim Optimal; Pipeline.sim Classic; Pipeline.sim Untiled ]
+let std_sims = Pipeline.[ sim Optimal; sim Classic; sim Untiled ]
+
+(* Every bench request is valid by construction: a typed error here is a
+   bench bug, so it aborts the run. *)
+let ok = function Ok r -> r | Error e -> Engine_error.raise_error e
 
 (* Words moved by the k-th simulation of a report (request order). *)
 let sim_words (r : Report.t) k = (List.nth r.Report.sims k).Report.words_moved
@@ -222,7 +229,11 @@ let e4 () =
   let specs =
     List.map (fun (b, c, k, w, h) -> Kernels.pointwise_conv ~b ~c ~k ~w ~h) layers
   in
-  let reports = Engine.sweep_grid ~sims:std_sims specs ~ms:[ m ] in
+  let reports =
+    List.map ok
+      (Pipeline.sweep_checked
+         (List.map (fun spec -> Pipeline.request ~sims:std_sims spec ~m) specs))
+  in
   List.iter2
     (fun (b, c, k, w, h) (r : Report.t) ->
       let label = Printf.sprintf "(%d,%d,%d,%d,%d)" b c k w h in
@@ -249,10 +260,10 @@ let e5 () =
     (fun (l1, l2) ->
       let spec = Kernels.nbody ~l1 ~l2 in
       let beta = Lower_bound.beta_of_bounds ~m spec.Spec.bounds in
-      let sol = Engine.solve_lp spec ~beta in
+      let sol = Pipeline.solve_lp spec ~beta in
       let cap = Float.exp (Rat.to_float sol.Tiling.value *. log (fint m)) in
       let tile_formula = min (fint m *. fint m) (min (fint l1 *. fint m) (min (fint l2 *. fint m) (fint l1 *. fint l2))) in
-      let b = Engine.lower_bound spec ~m in
+      let b = Pipeline.lower_bound spec ~m in
       (* Section 6.3's min(L1L2/M, L2, L1, M) terms correspond to the four
          candidate tile sizes; communication in words is
          L1 L2 M / (max feasible tile) with the max tile being the min of
@@ -286,10 +297,11 @@ let e6 () =
           [ 512; 2048 ];
       ]
   in
-  let sims = Engine.[ Pipeline.sim Optimal; Pipeline.sim ~policy:Policy.Opt Optimal ] in
+  let sims = Pipeline.[ sim Optimal; sim ~policy:Policy.Opt Optimal ] in
   let reports =
-    Engine.sweep
-      (List.map (fun (_, spec, m) -> Pipeline.request ~sims ~shared:true spec ~m) cases)
+    List.map ok
+      (Pipeline.sweep_checked
+         (List.map (fun (_, spec, m) -> Pipeline.request ~sims ~shared:true spec ~m) cases))
   in
   List.iter2
     (fun (name, spec, m) (r : Report.t) ->
@@ -330,7 +342,11 @@ let e7 () =
       ("conv (4,4,64,14,14)", Kernels.pointwise_conv ~b:4 ~c:4 ~k:64 ~w:14 ~h:14);
     ]
   in
-  let reports = Engine.sweep_grid ~sims:std_sims (List.map snd cases) ~ms:[ m ] in
+  let reports =
+    List.map ok
+      (Pipeline.sweep_checked
+         (List.map (fun (_, spec) -> Pipeline.request ~sims:std_sims spec ~m) cases))
+  in
   List.iter2
     (fun (name, _) (r : Report.t) ->
       let ours = sim_words r 0 and classic = sim_words r 1 and naive = sim_words r 2 in
@@ -377,7 +393,7 @@ let e8 () =
       let beta =
         Array.init d (fun _ -> Rat.of_ints (Random.State.int rng 17) 8)
       in
-      let v1 = (Engine.solve_lp spec ~beta).Tiling.value in
+      let v1 = (Pipeline.solve_lp spec ~beta).Tiling.value in
       let v2 = (Simplex.solve_exn (Hbl_lp.dual_tiling spec ~beta)).Simplex.objective in
       let v3 = (Lower_bound.exponent_by_enumeration spec ~beta).Lower_bound.k_hat in
       if Rat.equal v1 v2 && Rat.equal v1 v3 then incr agreements
@@ -418,7 +434,7 @@ let e9 () =
           Array.init (Spec.num_loops spec) (fun _ -> Rat.of_ints (Random.State.int rng 33) 8)
         in
         incr checks;
-        if Rat.equal (Closed_form.eval cf beta) (Engine.solve_lp spec ~beta).Tiling.value then
+        if Rat.equal (Closed_form.eval cf beta) (Pipeline.solve_lp spec ~beta).Tiling.value then
           incr ok
       done)
     [ Kernels.matmul ~l1:4 ~l2:4 ~l3:4; Kernels.nbody ~l1:4 ~l2:4;
@@ -474,18 +490,18 @@ let e11 () =
     show "untiled" Schedules.Untiled;
     show
       (Printf.sprintf "tile for L1 (%d)" caps.(0))
-      (Schedules.Tiled (Engine.tile_shared spec ~m:caps.(0)));
+      (Schedules.Tiled (Pipeline.tile_shared spec ~m:caps.(0)));
     show
       (Printf.sprintf "tile for L2 (%d)" caps.(1))
-      (Schedules.Tiled (Engine.tile_shared spec ~m:caps.(1)));
-    let h = Engine.hierarchy spec ~capacities:caps in
+      (Schedules.Tiled (Pipeline.tile_shared spec ~m:caps.(1)));
+    let h = Pipeline.hierarchy spec ~capacities:caps in
     rowf "%-22s %-28s | %12d %12d\n" name "nested (both)"
       h.Pipeline.hresult.Executor.boundary_words.(0)
       h.Pipeline.hresult.Executor.boundary_words.(1);
     note_int (name ^ " nested L1<->L2") h.Pipeline.hresult.Executor.boundary_words.(0);
     rowf "%-22s %-28s | %12.0f %12.0f\n" name "per-level lower bound"
-      (Engine.lower_bound spec ~m:caps.(0)).Lower_bound.words
-      (Engine.lower_bound spec ~m:caps.(1)).Lower_bound.words
+      (Pipeline.lower_bound spec ~m:caps.(0)).Lower_bound.words
+      (Pipeline.lower_bound spec ~m:caps.(1)).Lower_bound.words
   in
   run_case "matmul 64^3" (Kernels.matmul ~l1:64 ~l2:64 ~l3:64) [| 256; 4096 |];
   run_case "conv (4,8,16,14,14)" (Kernels.pointwise_conv ~b:4 ~c:8 ~k:16 ~w:14 ~h:14)
@@ -517,9 +533,9 @@ let e12 () =
       in
       rowf "%-24s | %14.4g %14.4g %14.4g %14.4g\n" name
         (traffic (Schedules.classic_tile spec ~m))
-        (traffic (Engine.tile spec ~m:(m / n)))
-        (traffic (Engine.tile spec ~m))
-        (traffic (Engine.tile_shared spec ~m)))
+        (traffic (Pipeline.tile spec ~m:(m / n)))
+        (traffic (Pipeline.tile spec ~m))
+        (traffic (Pipeline.tile_shared spec ~m)))
     [
       ("matmul 256^3", Kernels.matmul ~l1:256 ~l2:256 ~l3:256);
       ("matmul 512x512x8", Kernels.matmul ~l1:512 ~l2:512 ~l3:8);
@@ -544,10 +560,10 @@ let e12 () =
 let e13 () =
   let m = 512 in
   let spec = Kernels.matmul ~l1:64 ~l2:64 ~l3:64 in
-  let bound = Engine.lower_bound spec ~m in
+  let bound = Pipeline.lower_bound spec ~m in
   rowf "%-26s | %12s %8s\n" "schedule" "LRU words" "x LB";
   let show label choice =
-    let w = Engine.words_moved spec ~m choice in
+    let w = (Pipeline.simulate spec ~m (Pipeline.sim choice)).Report.words_moved in
     rowf "%-26s | %12d %8.2f\n" label w (fint w /. bound.Lower_bound.words);
     note_int label w
   in
@@ -557,9 +573,9 @@ let e13 () =
       show
         (Printf.sprintf "order %s"
            (String.concat "," (Array.to_list (Array.map (fun i -> spec.Spec.loops.(i)) p))))
-        (Engine.Permuted p))
+        (Pipeline.Permuted p))
     perms;
-  show "optimal tiling" Engine.Optimal;
+  show "optimal tiling" Pipeline.Optimal;
   rowf "%-26s | %12.0f %8.2f\n" "lower bound" bound.Lower_bound.words 1.0;
   print_endline
     "expected shape: every loop order stays an order of magnitude above the bound (matmul";
@@ -585,7 +601,11 @@ let e14 () =
     ]
   in
   let reports =
-    Engine.sweep_grid ~sims:[ Pipeline.sim Engine.Optimal ] (List.map snd cases) ~ms:[ m ]
+    List.map ok
+      (Pipeline.sweep_checked
+         (List.map
+            (fun (_, spec) -> Pipeline.request ~sims:[ Pipeline.sim Pipeline.Optimal ] spec ~m)
+            cases))
   in
   List.iter2
     (fun (name, spec) (r : Report.t) ->
@@ -610,13 +630,15 @@ let e14 () =
 let e15 () =
   let m = 1024 in
   let spec = Kernels.matmul ~l1:64 ~l2:64 ~l3:64 in
-  let bound = Engine.lower_bound spec ~m in
+  let bound = Pipeline.lower_bound spec ~m in
   rowf "%-24s | %12s %12s %12s\n" "schedule" "line=1" "line=4" "line=8";
   List.iter
     (fun (label, choice) ->
-      let words lw = Engine.words_moved ~line_words:lw spec ~m choice in
+      let words lw =
+        (Pipeline.simulate spec ~m (Pipeline.sim ~line_words:lw choice)).Report.words_moved
+      in
       rowf "%-24s | %12d %12d %12d\n" label (words 1) (words 4) (words 8))
-    [ ("untiled", Engine.Untiled); ("optimal tiling", Engine.Optimal) ];
+    [ ("untiled", Pipeline.Untiled); ("optimal tiling", Pipeline.Optimal) ];
   rowf "%-24s | %12.0f (word-granular model)\n" "lower bound" bound.Lower_bound.words;
   print_endline
     "expected shape: matmul walks rows contiguously in either schedule, so traffic is";
@@ -694,10 +716,10 @@ let e18 () =
   (* jobs:1 keeps the miss accounting exact: with a parallel pool,
      concurrent first requests for one shape could each pay the LP. *)
   let run_with mode =
-    Engine.set_plan_mode mode;
-    Engine.reset_caches ();
+    Pipeline.set_plan_mode mode;
+    Pipeline.reset_caches ();
     let misses0 = Obs.value c_lp_misses in
-    let results = Engine.sweep_checked ~jobs:1 reqs in
+    let results = Pipeline.sweep_checked ~jobs:1 reqs in
     let jsons =
       List.map
         (function
@@ -707,11 +729,11 @@ let e18 () =
     in
     (jsons, Obs.value c_lp_misses - misses0)
   in
-  let mode0 = Engine.plan_mode () in
-  let off_jsons, off_misses = run_with Engine.Plan_deferred in
-  let on_jsons, on_misses = run_with Engine.Plan_inline in
-  Engine.set_plan_mode mode0;
-  Engine.reset_caches ();
+  let mode0 = Pipeline.plan_mode () in
+  let off_jsons, off_misses = run_with Pipeline.Plan_deferred in
+  let on_jsons, on_misses = run_with Pipeline.Plan_inline in
+  Pipeline.set_plan_mode mode0;
+  Pipeline.reset_caches ();
   let identical = off_jsons = on_jsons in
   rowf "%d requests over %d kernels (%d distinct shapes), M in {%s}:\n" (List.length reqs)
     (List.length specs) distinct_shapes
@@ -780,9 +802,9 @@ let e19 () =
   let reqs = sim_reqs @ analytic_reqs in
   let jobs = 4 in
   let run_arm ~coarse =
-    Engine.reset_caches ();
+    Pipeline.reset_caches ();
     let s0 = Obs.snapshot () in
-    let results = Engine.sweep_checked ~jobs ~coarse reqs in
+    let results = Pipeline.sweep_checked ~jobs ~coarse reqs in
     let d = Obs.diff s0 (Obs.snapshot ()) in
     let p99 name =
       match List.assoc_opt name d.Obs.stimers with
@@ -804,7 +826,7 @@ let e19 () =
   in
   let coarse_jsons, coarse_p99, coarse_sim_p99, _ = run_arm ~coarse:true in
   let split_jsons, split_p99, split_sim_p99, steals = run_arm ~coarse:false in
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let identical = coarse_jsons = split_jsons in
   let ratio = coarse_p99 /. Float.max split_p99 1e-3 in
   rowf "%d requests (%d simulation-class first, then %d analytic-class), %d jobs:\n"
@@ -878,12 +900,12 @@ let e20 () =
         (fun p ->
           List.iter
             (fun m_local ->
-              match Engine.partition_checked spec ~p ~m_local ~net:Partition_solve.Words with
+              match Pipeline.partition_checked spec ~p ~m_local ~net:Partition_solve.Words with
               | Error e -> Printf.printf "  %s P=%d: %s\n" name p (Engine_error.code e)
               | Ok sol ->
                 incr points;
                 let v =
-                  match Engine.partition_validate spec sol with
+                  match Pipeline.partition_validate spec sol with
                   | Ok v -> v
                   | Error e ->
                     Printf.ksprintf failwith "E20 %s P=%d validate: %s" name p
@@ -1021,7 +1043,7 @@ let microbenches () =
         Test.make ~name:"tiling-lp-matmul"
           (Staged.stage (fun () -> Tiling.solve_lp mm ~beta:beta_mm));
         Test.make ~name:"tiling-lp-matmul-memoized"
-          (Staged.stage (fun () -> Engine.solve_lp mm ~beta:beta_mm));
+          (Staged.stage (fun () -> Pipeline.solve_lp mm ~beta:beta_mm));
         Test.make ~name:"tiling-lp-matmul-float"
           (Staged.stage (fun () -> Simplex_float.solve (Hbl_lp.tiling mm ~beta:beta_mm)));
         Test.make ~name:"tiling-lp-conv"

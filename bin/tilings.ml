@@ -1,6 +1,6 @@
 (* Command-line interface to the tiling library, built on the unified
-   Engine pipeline (lib/engine): every subcommand is a thin veneer that
-   builds a Pipeline request and renders the Report.
+   analysis pipeline (Pipeline, lib/engine): every subcommand is a thin
+   veneer that builds a Pipeline request and renders the Report.
 
    Examples:
 
@@ -117,17 +117,6 @@ let with_spec kernel preset f =
         (Engine_error.Internal
            (Printf.sprintf "kernel %s (bounds %s): %s" spec.Spec.name (pp_bounds spec) msg)))
 
-let simulable spec =
-  (* Exact comparison: the native product wraps (to 0 for 2^21-cubed
-     bounds) and would sail straight past this guard. *)
-  let n = Spec.iteration_count_big spec in
-  if Bigint.compare n (Bigint.of_int 20_000_000) > 0 then
-    Error
-      (Printf.sprintf
-         "kernel too large to simulate (%s iterations > 2*10^7); shrink the bounds"
-         (Bigint.to_string n))
-  else Ok ()
-
 let metrics_arg =
   Arg.(
     value & flag
@@ -217,7 +206,7 @@ let analyze_cmd =
   let run kernel preset m metrics trace =
     with_obs metrics trace (fun () ->
       with_spec kernel preset (fun spec ->
-        match Engine.analyze_checked spec ~m with
+        match Pipeline.run_checked (Pipeline.request spec ~m) with
         | Error e -> fail_error e
         | Ok r ->
           Format.printf "%a@." Report.pp r;
@@ -234,7 +223,7 @@ let lower_bound_cmd =
         if m < 2 then fail_error (Engine_error.Cache_too_small { m; min_words = 2 })
         else begin
           Format.printf "%a@.%a@." Spec.pp spec Lower_bound.pp_bound
-            (Engine.lower_bound spec ~m);
+            (Pipeline.lower_bound spec ~m);
           `Ok ()
         end))
   in
@@ -247,7 +236,7 @@ let tile_cmd =
     with_obs metrics trace
     @@ fun () ->
     with_spec kernel preset (fun spec ->
-      match Engine.analyze_checked ~shared:true spec ~m with
+      match Pipeline.run_checked (Pipeline.request ~shared:true spec ~m) with
       | Error e -> fail_error e
       | Ok r ->
         let sol = r.Report.lp in
@@ -309,7 +298,7 @@ let load_plans file =
             match Tiling_plan.of_json item with
             | Error msg -> Error (Printf.sprintf "--plans %s: plan %d: %s" file n msg)
             | Ok plan ->
-              Engine.install_plan plan;
+              Pipeline.install_plan plan;
               go (n + 1) rest)
         in
         go 0 items)
@@ -338,7 +327,7 @@ let compile_cmd =
       let plans =
         List.filter_map
           (fun spec ->
-            match Engine.plan_of spec with
+            match Pipeline.plan_of spec with
             | Error e -> fail_error e
             | Ok plan ->
               let k = Tiling_plan.key plan in
@@ -387,7 +376,11 @@ let compile_cmd =
 
 let schedule_conv =
   Arg.enum
-    [ ("optimal", Engine.Optimal); ("classic", Engine.Classic); ("untiled", Engine.Untiled) ]
+    [
+      ("optimal", Pipeline.Optimal);
+      ("classic", Pipeline.Classic);
+      ("untiled", Pipeline.Untiled);
+    ]
 
 let policy_conv =
   Arg.enum [ ("lru", Policy.Lru); ("fifo", Policy.Fifo); ("opt", Policy.Opt) ]
@@ -397,7 +390,10 @@ let simulate_cmd =
     with_obs metrics trace
     @@ fun () ->
     with_spec kernel preset (fun spec ->
-      match Engine.analyze_checked ~sims:[ Pipeline.sim ~policy schedule ] spec ~m with
+      match
+        Pipeline.run_checked
+          (Pipeline.request ~sims:[ Pipeline.sim ~policy schedule ] spec ~m)
+      with
       | Error e -> fail_error e
       | Ok r ->
         Format.printf "%a@." Spec.pp spec;
@@ -407,7 +403,7 @@ let simulate_cmd =
         `Ok ())
   in
   let schedule_arg =
-    Arg.(value & opt schedule_conv Engine.Optimal & info [ "schedule" ] ~docv:"SCHED"
+    Arg.(value & opt schedule_conv Pipeline.Optimal & info [ "schedule" ] ~docv:"SCHED"
            ~doc:"One of $(b,optimal), $(b,classic), $(b,untiled).")
   in
   let policy_arg =
@@ -437,7 +433,7 @@ let sweep_cmd =
         (* The obs section is the delta over this sweep alone, not
            process-lifetime totals. *)
         let s0 = Obs.snapshot () in
-        let results = Engine.sweep_checked ?jobs reqs in
+        let results = Pipeline.sweep_checked ?jobs reqs in
         (* All-or-nothing at the CLI: a single bad point (cache too
            small, kernel too large to simulate) fails the invocation
            with its typed code — partial sweeps are the server's job. *)
@@ -498,65 +494,54 @@ let profile_cmd =
     match resolve_named name with
     | Error msg -> fail "%s" msg
     | Ok spec -> (
-      try
-        if iters < 1 then fail "need at least one iteration (--iters)"
-        else if m < max 2 (Spec.num_arrays spec) then
-          fail_error
-            (Engine_error.Cache_too_small { m; min_words = max 2 (Spec.num_arrays spec) })
-        else begin
-          let sims =
-            match schedule with None -> [] | Some s -> [ Pipeline.sim ~policy s ]
-          in
-          match (if sims = [] then Ok () else simulable spec) with
-          | Error msg -> fail "%s" msg
-          | Ok () ->
-            let t_iter = Obs.timer "profile.iteration" in
-            let s0 = Obs.snapshot () in
-            let reqs =
-              List.init iters (fun _ -> Pipeline.request ~sims ~shared:true spec ~m)
-            in
-            (match jobs with
-            | None ->
-              List.iter
-                (fun req ->
-                  if cold then Engine.reset_caches ();
-                  Obs.time t_iter (fun () -> ignore (Pipeline.run req)))
-                reqs
-            | Some jobs ->
-              (* Parallel profiling: iteration latency includes queue
-                 contention; that is the point of --jobs. *)
-              if cold then Engine.reset_caches ();
-              ignore
-                (Pool.map_list ~jobs
-                   (fun req -> Obs.time t_iter (fun () -> ignore (Pipeline.run req)))
-                   reqs));
-            let d = Obs.diff s0 (Obs.snapshot ()) in
-            Format.printf "profile: %s  (bounds %s)  m = %d  iters = %d%s%s@." spec.Spec.name
-              (pp_bounds spec) m iters
-              (match schedule with None -> "  (analysis only)" | Some _ -> "  (with simulation)")
-              (if cold then "  (cold: caches reset per iteration)" else "");
-            (match List.assoc_opt "profile.iteration" d.Obs.stimers with
-            | Some t ->
-              let dd = t.Obs.tdist in
-              Format.printf "@.%-12s %10s %10s %10s %10s %10s %10s@." "" "count" "mean"
-                "p50" "p90" "p99" "max";
-              Format.printf "%-12s %10s %10s %10s %10s %10s %10s@." "iteration"
-                (Obs.group_int dd.Obs.dcount)
-                (Obs.pp_dur_ns (Obs.mean_ns dd))
-                (Obs.pp_dur_ns (Obs.percentile dd 50.0))
-                (Obs.pp_dur_ns (Obs.percentile dd 90.0))
-                (Obs.pp_dur_ns (Obs.percentile dd 99.0))
-                (Obs.pp_dur_ns (float_of_int dd.Obs.dmax_ns))
-            | None -> ());
-            Format.printf "@.%a@." Obs.pp d;
-            `Ok ()
-        end
-      with
-      | Engine_error.Error e -> fail_error e
-      | Failure msg ->
-        fail_error
-          (Engine_error.Internal
-             (Printf.sprintf "kernel %s (bounds %s): %s" spec.Spec.name (pp_bounds spec) msg)))
+      if iters < 1 then fail "need at least one iteration (--iters)"
+      else
+        let sims = match schedule with None -> [] | Some s -> [ Pipeline.sim ~policy s ] in
+        let t_iter = Obs.timer "profile.iteration" in
+        let s0 = Obs.snapshot () in
+        let reqs = List.init iters (fun _ -> Pipeline.request ~sims ~shared:true spec ~m) in
+        (* run_checked validates every iteration, so a cache too small or
+           a kernel too large to simulate comes back as its typed error *)
+        let iteration req =
+          Obs.time t_iter (fun () -> Result.map ignore (Pipeline.run_checked req))
+        in
+        let results =
+          match jobs with
+          | None ->
+            List.map
+              (fun req ->
+                if cold then Pipeline.reset_caches ();
+                iteration req)
+              reqs
+          | Some jobs ->
+            (* Parallel profiling: iteration latency includes queue
+               contention; that is the point of --jobs. *)
+            if cold then Pipeline.reset_caches ();
+            Pool.map_list ~jobs iteration reqs
+        in
+        match List.find_map (function Error e -> Some e | Ok () -> None) results with
+        | Some e -> fail_error e
+        | None ->
+          let d = Obs.diff s0 (Obs.snapshot ()) in
+          Format.printf "profile: %s  (bounds %s)  m = %d  iters = %d%s%s@." spec.Spec.name
+            (pp_bounds spec) m iters
+            (match schedule with None -> "  (analysis only)" | Some _ -> "  (with simulation)")
+            (if cold then "  (cold: caches reset per iteration)" else "");
+          (match List.assoc_opt "profile.iteration" d.Obs.stimers with
+          | Some t ->
+            let dd = t.Obs.tdist in
+            Format.printf "@.%-12s %10s %10s %10s %10s %10s %10s@." "" "count" "mean" "p50"
+              "p90" "p99" "max";
+            Format.printf "%-12s %10s %10s %10s %10s %10s %10s@." "iteration"
+              (Obs.group_int dd.Obs.dcount)
+              (Obs.pp_dur_ns (Obs.mean_ns dd))
+              (Obs.pp_dur_ns (Obs.percentile dd 50.0))
+              (Obs.pp_dur_ns (Obs.percentile dd 90.0))
+              (Obs.pp_dur_ns (Obs.percentile dd 99.0))
+              (Obs.pp_dur_ns (float_of_int dd.Obs.dmax_ns))
+          | None -> ());
+          Format.printf "@.%a@." Obs.pp d;
+          `Ok ())
   in
   let name_arg =
     Arg.(
@@ -582,7 +567,9 @@ let profile_cmd =
           ~doc:
             "Reset the engine memo caches before each iteration, so every \
              run pays the full LP/analysis cost instead of profiling the \
-             memoized path.")
+             memoized path. With $(b,--jobs) the caches are reset once, \
+             before the parallel run, so only the first iterations to \
+             reach each stage pay that cost.")
   in
   let schedule_arg =
     Arg.(
@@ -643,7 +630,7 @@ let serve_cmd =
          shape is answered on the LP path first, its plan compiles after
          the responses flush (Serve's warm-up contract). Preloaded plans
          skip even that first LP round. *)
-      Engine.set_plan_mode Engine.Plan_deferred;
+      Pipeline.set_plan_mode Pipeline.Plan_deferred;
       (match plans with
       | None -> ()
       | Some file -> (
@@ -915,13 +902,13 @@ let partition_cmd =
       match net with
       | Error e -> fail_error e
       | Ok net -> (
-        match Engine.partition_checked spec ~p:procs ~m_local ~net with
+        match Pipeline.partition_checked spec ~p:procs ~m_local ~net with
         | Error e -> fail_error e
         | Ok sol ->
           let validation =
             if not validate then ""
             else
-              match Engine.partition_validate ?jobs spec sol with
+              match Pipeline.partition_validate ?jobs spec sol with
               | Error e -> fail_error e
               | Ok v ->
                 Printf.sprintf
@@ -995,9 +982,10 @@ let codegen_cmd =
         print_string (Codegen.emit_untiled ~lang spec);
         `Ok ()
       end
-      else if m < Spec.num_arrays spec then fail "cache too small for this kernel"
+      else if m < Spec.num_arrays spec then
+        fail_error (Engine_error.Cache_too_small { m; min_words = Spec.num_arrays spec })
       else begin
-        let tile = Engine.tile_shared spec ~m in
+        let tile = Pipeline.tile_shared spec ~m in
         print_string (Codegen.emit ~lang spec ~tile);
         `Ok ()
       end)
@@ -1032,26 +1020,26 @@ let hierarchy_cmd =
             if c < Spec.num_arrays spec || (k > 0 && c <= capacities.(k - 1)) then ok := false)
           capacities;
         if not !ok then fail "levels must be strictly increasing and large enough"
-        else
-          match simulable spec with
-          | Error msg -> fail "%s" msg
-          | Ok () ->
-            let h = Engine.hierarchy spec ~capacities in
-            Format.printf "%a@." Spec.pp spec;
-            List.iteri
-              (fun k t ->
-                Format.printf "level %d (M = %d words): tile %a@." (k + 1) capacities.(k)
-                  (Tiling.pp spec) t)
-              h.Pipeline.htiles;
-            Array.iteri
-              (fun k w ->
-                let dest =
-                  if k = Array.length capacities - 1 then "memory"
-                  else Printf.sprintf "L%d" (k + 2)
-                in
-                Format.printf "traffic L%d -> %s: %d words@." (k + 1) dest w)
-              h.Pipeline.hresult.Executor.boundary_words;
-            `Ok ())
+        else begin
+          (* an oversized kernel raises Kernel_too_large, which with_spec
+             renders with its typed exit code *)
+          let h = Pipeline.hierarchy spec ~capacities in
+          Format.printf "%a@." Spec.pp spec;
+          List.iteri
+            (fun k t ->
+              Format.printf "level %d (M = %d words): tile %a@." (k + 1) capacities.(k)
+                (Tiling.pp spec) t)
+            h.Pipeline.htiles;
+          Array.iteri
+            (fun k w ->
+              let dest =
+                if k = Array.length capacities - 1 then "memory"
+                else Printf.sprintf "L%d" (k + 2)
+              in
+              Format.printf "traffic L%d -> %s: %d words@." (k + 1) dest w)
+            h.Pipeline.hresult.Executor.boundary_words;
+          `Ok ()
+        end)
   in
   let levels_arg =
     Arg.(value & opt (list int) [ 512; 16384 ]

@@ -26,10 +26,11 @@ let () =
 
   (* One engine request covers the analysis, the shared-cache tile, and
      all three simulated schedules. *)
+  let sims = Pipeline.[ sim Optimal; sim Classic; sim Untiled ] in
   let report =
-    Engine.analyze
-      ~sims:Engine.[ Pipeline.sim Optimal; Pipeline.sim Classic; Pipeline.sim Untiled ]
-      ~shared:true spec ~m
+    match Pipeline.run_checked (Pipeline.request ~sims ~shared:true spec ~m) with
+    | Ok r -> r
+    | Error e -> Engine_error.raise_error e
   in
   Format.printf "%a@.@." Report.pp report;
 

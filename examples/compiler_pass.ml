@@ -28,8 +28,8 @@ let () =
   List.iter
     (fun (name, dsl) ->
       let spec = Parser.parse_exn ~name dsl in
-      let bound = Engine.lower_bound spec ~m in
-      let tile = Engine.tile_shared spec ~m in
+      let bound = Pipeline.lower_bound spec ~m in
+      let tile = Pipeline.tile_shared spec ~m in
       Format.printf "// ------------------------------------------------------------@.";
       Format.printf "// %s: lower bound %.3g words (classical formula says %.3g)@." name
         bound.Lower_bound.words bound.Lower_bound.words_classic;

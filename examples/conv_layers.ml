@@ -31,11 +31,18 @@ let () =
   Format.printf "Pointwise convolution layers, cache M = %d words@." m;
   Format.printf "%-14s %12s %12s %12s %12s %8s@." "layer" "lower bound" "ours(LRU)"
     "classic(LRU)" "untiled" "ours/LB";
-  let sims = Engine.[ Pipeline.sim Optimal; Pipeline.sim Classic; Pipeline.sim Untiled ] in
-  let specs =
-    List.map (fun l -> Kernels.pointwise_conv ~b:l.b ~c:l.c ~k:l.k ~w:l.w ~h:l.h) layers
+  let sims = Pipeline.[ sim Optimal; sim Classic; sim Untiled ] in
+  let reqs =
+    List.map
+      (fun l ->
+        Pipeline.request ~sims (Kernels.pointwise_conv ~b:l.b ~c:l.c ~k:l.k ~w:l.w ~h:l.h) ~m)
+      layers
   in
-  let reports = Engine.sweep_grid ~sims specs ~ms:[ m ] in
+  let reports =
+    List.map
+      (function Ok r -> r | Error e -> Engine_error.raise_error e)
+      (Pipeline.sweep_checked reqs)
+  in
   List.iter2
     (fun l (r : Report.t) ->
       let words k = (List.nth r.Report.sims k).Report.words_moved in

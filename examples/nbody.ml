@@ -23,12 +23,17 @@ let () =
   in
   Format.printf "%-38s %12s %14s %12s %10s@." "case" "tile" "tile volume" "LB words"
     "LRU words";
+  let reqs =
+    List.map
+      (fun (_, l1, l2) ->
+        Pipeline.request ~sims:[ Pipeline.sim Pipeline.Optimal ] ~shared:true
+          (Kernels.nbody ~l1 ~l2) ~m)
+      cases
+  in
   let reports =
-    Engine.sweep_grid
-      ~sims:[ Pipeline.sim Engine.Optimal ]
-      ~shared:true
-      (List.map (fun (_, l1, l2) -> Kernels.nbody ~l1 ~l2) cases)
-      ~ms:[ m ]
+    List.map
+      (function Ok r -> r | Error e -> Engine_error.raise_error e)
+      (Pipeline.sweep_checked reqs)
   in
   List.iter2
     (fun (label, _, _) (r : Report.t) ->

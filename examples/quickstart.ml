@@ -17,8 +17,12 @@ let () =
       "i = 1024, j = 1024, k = 8 : C[i,k] += A[i,j] * B[j,k]"
   in
 
-  (* One call gives the full analysis. *)
-  let report = Engine.analyze spec ~m in
+  (* One checked request gives the full analysis. *)
+  let report =
+    match Pipeline.run_checked (Pipeline.request spec ~m) with
+    | Ok r -> r
+    | Error e -> Engine_error.raise_error e
+  in
   Format.printf "%a@.@." Report.pp report;
 
   (* Piece together the story by hand as well. *)
@@ -34,8 +38,9 @@ let () =
   (* Simulate on an LRU cache. The paper's model gives each array its own
      budget of M words; the engine's [Optimal] schedule uses the tile
      re-optimized for a single shared cache of M words instead. *)
-  let ours = Engine.words_moved spec ~m Engine.Optimal in
-  let naive = Engine.words_moved spec ~m Engine.Untiled in
+  let words choice = (Pipeline.simulate spec ~m (Pipeline.sim choice)).Report.words_moved in
+  let ours = words Pipeline.Optimal in
+  let naive = words Pipeline.Untiled in
   Format.printf "@.simulated words moved (LRU, M = %d):@." m;
   Format.printf "  optimal tiling : %d  (%.2fx the lower bound)@." ours
     (float_of_int ours /. bound.Lower_bound.words);

@@ -1,16 +1,15 @@
 (** Typed errors for the checked engine API.
 
     Every way an analysis request can fail — short of a bug — is one of
-    these constructors. {!Pipeline.run_checked} / {!Engine.run_checked}
-    return them as [result]s; the CLI renders them with distinct exit
-    codes; the [tilings serve] daemon serializes them as structured
-    error responses keyed by {!code}.
+    these constructors. The request entry points
+    ({!Pipeline.run_checked}, {!Pipeline.sweep_checked},
+    {!Pipeline.partition_checked}) return them as [result]s; the CLI
+    renders them with distinct exit codes; the [tilings serve] daemon
+    serializes them as structured error responses keyed by {!code}.
 
-    Migration note: the raising entry points ([Pipeline.run],
-    [Engine.analyze], ...) are now thin wrappers that raise {!Error}
-    around the checked ones. New code should call the [_checked]
-    variants and match on [t]; the exception exists so one-shot scripts
-    and the examples keep their straight-line shape. *)
+    The a-la-carte stages ({!Pipeline.lower_bound},
+    {!Pipeline.tile_shared}, {!Pipeline.hierarchy}, ...) have no
+    [result] form and raise {!Error} instead. *)
 
 type t =
   | Parse_error of { line : int; col : int; message : string }

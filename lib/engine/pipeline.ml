@@ -321,20 +321,21 @@ let assemble req ((a, from_cache), d_analysis) (shared, d_shared, sims, d_simula
 
 let sim_iteration_limit = 20_000_000
 
+(* Exact comparison: the native iteration product wraps for 2^21-cubed
+   bounds and would sail straight past a native-int guard. *)
+let too_large spec =
+  let n = Spec.iteration_count_big spec in
+  if Bigint.compare n (Bigint.of_int sim_iteration_limit) > 0 then
+    Some
+      (Engine_error.Kernel_too_large
+         { iterations = Bigint.to_string n; limit = sim_iteration_limit })
+  else None
+
 let validate req =
   let spec = req.rspec and m = req.rm in
   let min_words = max 2 (Spec.num_arrays spec) in
   if m < min_words then Some (Engine_error.Cache_too_small { m; min_words })
-  else if req.rsims <> [] then begin
-    (* Exact comparison: the native iteration product wraps for 2^21-cubed
-       bounds and would sail straight past a native-int guard. *)
-    let n = Spec.iteration_count_big spec in
-    if Bigint.compare n (Bigint.of_int sim_iteration_limit) > 0 then
-      Some
-        (Engine_error.Kernel_too_large
-           { iterations = Bigint.to_string n; limit = sim_iteration_limit })
-    else None
-  end
+  else if req.rsims <> [] then too_large spec
   else None
 
 let catch_errors f =
@@ -366,16 +367,8 @@ let run_staged ?deadline req =
 let run_checked ?deadline req =
   match run_staged ?deadline req with Pool.Done r -> r | Pool.More f -> f ()
 
-let run req =
-  match run_checked req with Ok r -> r | Error e -> Engine_error.raise_error e
-
 let sweep_checked ?jobs ?coarse ?deadline reqs =
   Pool.map_staged_list ?jobs ?coarse ~classify (run_staged ?deadline) reqs
-
-let sweep ?jobs reqs =
-  List.map
-    (function Ok r -> r | Error e -> Engine_error.raise_error e)
-    (sweep_checked ?jobs reqs)
 
 (* ------------------------------------------------------------------ *)
 (* Distributed-memory partitioning                                    *)
@@ -457,22 +450,10 @@ type partition_validation = {
    enumerates. *)
 let partition_validate ?jobs spec (sol : Partition_solve.solution) =
   let groups = Comm_model.block_groups spec ~grid:sol.Partition_solve.grid in
-  let oversized =
-    List.find_opt
-      (fun (block, _) ->
-        let n = Spec.iteration_count_big (Spec.with_bounds spec block) in
-        Bigint.compare n (Bigint.of_int sim_iteration_limit) > 0)
-      groups
-  in
-  match oversized with
-  | Some (block, _) ->
-    Error
-      (Engine_error.Kernel_too_large
-         {
-           iterations =
-             Bigint.to_string (Spec.iteration_count_big (Spec.with_bounds spec block));
-           limit = sim_iteration_limit;
-         })
+  match
+    List.find_map (fun (block, _) -> too_large (Spec.with_bounds spec block)) groups
+  with
+  | Some e -> Error e
   | None ->
     catch_errors (fun () ->
       let sims =
@@ -516,6 +497,7 @@ let nested_tiles spec ~capacities =
   Memo.find_or_add nested_cache key (fun () -> Tiling.nested spec ~ms:capacities)
 
 let hierarchy ?policy spec ~capacities =
+  Option.iter Engine_error.raise_error (too_large spec);
   let tiles = nested_tiles spec ~capacities in
   let hresult =
     Executor.run_hierarchy ?policy spec ~schedule:(Schedules.Nested tiles) ~capacities

@@ -56,11 +56,6 @@ val run_checked :
     there is no preemption. A deadline already in the past fails before
     any work. *)
 
-val run : request -> Report.t
-(** Thin raising wrapper over {!run_checked} (no deadline), kept for
-    straight-line callers: [Error e] becomes [raise (Engine_error.Error e)].
-    New code should prefer {!run_checked}. *)
-
 val run_staged :
   ?deadline:float -> request -> (Report.t, Engine_error.t) result Pool.staged
 (** {!run_checked} split at the analysis-vs-simulate boundary for the
@@ -79,12 +74,6 @@ val classify : request -> Pool.priority
     seconds). Used by {!sweep_checked} and the serve daemon's per-class
     queues. *)
 
-val sweep : ?jobs:int -> request list -> Report.t list
-(** Run independent requests in parallel with {!Pool.map_list}. Result
-    order matches input order and every report is byte-identical (under
-    {!Report.pp}) to what the sequential path produces.
-    @raise Engine_error.Error on the first failing request (via {!run}). *)
-
 val sweep_checked :
   ?jobs:int -> ?coarse:bool -> ?deadline:float -> request list ->
   (Report.t, Engine_error.t) result list
@@ -92,8 +81,8 @@ val sweep_checked :
     {!classify}): one [result] per request, input order, failures
     isolated per element (one bad request never poisons the batch).
     Analytic requests run ahead of simulation tails however the input
-    interleaves them; the results are byte-identical to the sequential
-    path regardless. [~coarse:true] uses the pre-split class-blind
+    interleaves them; every report is byte-identical (under {!Report.pp})
+    to what [List.map run_checked] produces, whatever [jobs] is. [~coarse:true] uses the pre-split class-blind
     scheduler (the bench's ablation baseline). The one [deadline]
     applies to every request; callers needing per-request deadlines map
     {!run_checked} over {!Pool} directly. *)
@@ -232,7 +221,10 @@ type hierarchy_report = {
 
 val hierarchy : ?policy:Policy.t -> Spec.t -> capacities:int array -> hierarchy_report
 (** Nested tiling sized for each level, executed against the simulated
-    hierarchy. Capacities fastest-first, strictly increasing. *)
+    hierarchy. Capacities fastest-first, strictly increasing.
+    @raise Engine_error.Error [(Kernel_too_large _)] when the iteration
+    count exceeds {!sim_iteration_limit}, by the rule {!run_checked}
+    applies to simulations. *)
 
 (** {1 Cache introspection} *)
 

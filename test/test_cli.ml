@@ -32,6 +32,14 @@ let check_fails name args fragment =
   if not (Astring.String.is_infix ~affix:fragment out) then
     Alcotest.failf "%s: diagnostic missing %S\n%s" name fragment out
 
+(* A typed refusal: the stable wire code in the diagnostic and the
+   code's own exit status (Engine_error.exit_code). *)
+let check_typed name args ~exit ~code =
+  let got, out = run args in
+  if got <> exit then Alcotest.failf "%s: expected exit %d, got %d\n%s" name exit got out;
+  if not (Astring.String.is_infix ~affix:(Printf.sprintf "[%s]" code) out) then
+    Alcotest.failf "%s: diagnostic missing [%s]\n%s" name code out
+
 let test_presets () = check_ok "presets" "presets" [ "matmul"; "nbody"; "mttkrp" ]
 
 let test_analyze () =
@@ -101,6 +109,31 @@ let test_closed_form_regions_golden () =
   in
   Alcotest.(check string) "closed-form and regions output"
     (In_channel.with_open_bin "golden/closed_form_regions.txt" In_channel.input_all)
+    (String.concat "" out)
+
+(* Every preset through the six per-kernel report commands, byte for
+   byte: pins the analysis, tile, simulation, hierarchy and codegen text. *)
+let test_cli_presets_golden () =
+  let out =
+    List.concat_map
+      (fun (name, _) ->
+        List.map
+          (fun (sub, opts) ->
+            let cmd = Printf.sprintf "%s -p %s %s" sub name opts in
+            let code, text = run cmd in
+            Printf.sprintf "== %s ==\n%sexit %d\n" cmd text code)
+          [
+            ("analyze", "-m 1024");
+            ("lower-bound", "-m 1024");
+            ("tile", "-m 1024");
+            ("simulate", "-m 1024");
+            ("hierarchy", "--levels 512,16384");
+            ("codegen", "-m 1024");
+          ])
+      (Kernels.all ())
+  in
+  Alcotest.(check string) "per-preset command output"
+    (In_channel.with_open_bin "golden/cli_presets.txt" In_channel.input_all)
     (String.concat "" out)
 
 let test_simulate () =
@@ -612,6 +645,28 @@ let test_serve_cache_dir () =
   Alcotest.(check (list string)) "corrupt snapshot -> cold boot, same answers" cold
     (run_serve args reqs)
 
+let test_typed_refusals () =
+  (* what the pipeline diagnoses comes back as its typed error, whichever
+     command asked *)
+  let big = "'i = 4096, j = 4096, k = 4096 : C[i,k] += A[i,j] * B[j,k]'" in
+  check_typed "profile too large"
+    (Printf.sprintf "profile %s --iters 1 --schedule optimal" big)
+    ~exit:5 ~code:"kernel_too_large";
+  check_typed "hierarchy too large" (Printf.sprintf "hierarchy -k %s" big) ~exit:5
+    ~code:"kernel_too_large";
+  check_typed "simulate too large" (Printf.sprintf "simulate -k %s" big) ~exit:5
+    ~code:"kernel_too_large";
+  check_typed "codegen cache too small" "codegen -p matmul -m 2" ~exit:4
+    ~code:"cache_too_small";
+  check_typed "profile cache too small" "profile mm -m 1 --iters 1" ~exit:4
+    ~code:"cache_too_small";
+  check_ok "codegen --untiled ignores -m" "codegen -p matmul -m 2 --untiled" [ "untiled" ];
+  (* a malformed --levels list is command-line misuse, not a typed error *)
+  let code, out = run "hierarchy -p matmul --levels 512,64" in
+  if code <> 124 then Alcotest.failf "bad levels: expected usage exit 124, got %d\n%s" code out;
+  if not (Astring.String.is_infix ~affix:"increasing" out) then
+    Alcotest.failf "bad levels: diagnostic missing \"increasing\"\n%s" out
+
 let test_error_paths () =
   check_fails "no kernel" "analyze" "kernel is required";
   check_fails "both sources" "analyze -p matmul -k 'i = 2 : A[i] = B[i]'" "not both";
@@ -636,6 +691,7 @@ let () =
           Alcotest.test_case "regions" `Quick test_regions;
           Alcotest.test_case "closed-form and regions golden" `Quick
             test_closed_form_regions_golden;
+          Alcotest.test_case "per-preset golden" `Quick test_cli_presets_golden;
           Alcotest.test_case "simulate" `Quick test_simulate;
           Alcotest.test_case "hierarchy" `Quick test_hierarchy;
           Alcotest.test_case "partition" `Quick test_partition;
@@ -645,6 +701,7 @@ let () =
           Alcotest.test_case "profile" `Quick test_profile;
           Alcotest.test_case "trace flag" `Quick test_trace_flag;
           Alcotest.test_case "overflow guards" `Quick test_overflow_guards;
+          Alcotest.test_case "typed refusals" `Quick test_typed_refusals;
           Alcotest.test_case "error paths" `Quick test_error_paths;
         ] );
       ( "serve",

@@ -1,4 +1,4 @@
-(* Tests for the unified engine pipeline (lib/engine): request/report
+(* Tests for the unified analysis pipeline (Pipeline): request/report
    plumbing, the canonicalized memo cache, and the domain-parallel sweep
    pool. The determinism tests force jobs > 1 explicitly — CI boxes may
    report a single core, which would otherwise make the parallel path
@@ -6,8 +6,13 @@
 
 let report_text (r : Report.t) = Format.asprintf "%a" Report.pp r
 
+(* Every request in this file is valid: a typed error fails the test. *)
+let ok = function
+  | Ok r -> r
+  | Error e -> Alcotest.failf "unexpected error: %s" (Engine_error.to_string e)
+
 let mk_requests () =
-  let sims = Engine.[ Pipeline.sim Optimal; Pipeline.sim Classic; Pipeline.sim Untiled ] in
+  let sims = Pipeline.[ sim Optimal; sim Classic; sim Untiled ] in
   List.concat_map
     (fun spec ->
       List.map (fun m -> Pipeline.request ~sims ~shared:true spec ~m) [ 64; 256 ])
@@ -24,15 +29,15 @@ let mk_requests () =
 (* ------------------------------------------------------------------ *)
 
 let test_second_request_hits_cache () =
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let spec = Kernels.matmul ~l1:32 ~l2:32 ~l3:32 in
-  let r1 = Engine.analyze spec ~m:256 in
+  let r1 = ok (Pipeline.run_checked (Pipeline.request spec ~m:256)) in
   Alcotest.(check bool) "first analysis is computed" false r1.Report.from_cache;
-  let hits_before, _ = Engine.cache_stats () in
-  let r2 = Engine.analyze spec ~m:256 in
+  let hits_before, _ = Pipeline.cache_stats () in
+  let r2 = ok (Pipeline.run_checked (Pipeline.request spec ~m:256)) in
   Alcotest.(check bool) "second identical request served from cache" true
     r2.Report.from_cache;
-  let hits_after, _ = Engine.cache_stats () in
+  let hits_after, _ = Pipeline.cache_stats () in
   Alcotest.(check bool) "cache hit counter advanced" true (hits_after > hits_before);
   (* cached and fresh reports agree on everything the renderer shows *)
   Alcotest.(check string) "identical rendering" (report_text r1) (report_text r2)
@@ -40,50 +45,50 @@ let test_second_request_hits_cache () =
 let test_cache_ignores_names () =
   (* The key canonicalizes away loop/array names: a renamed matmul with
      the same bounds and supports must share the cache line. *)
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let a = Parser.parse_exn "i = 16, j = 16, k = 16 : C[i,k] += A[i,j] * B[j,k]" in
   let b = Parser.parse_exn "p = 16, q = 16, r = 16 : Z[p,r] += X[p,q] * Y[q,r]" in
-  ignore (Engine.analyze a ~m:64);
-  let hits_before, _ = Engine.cache_stats () in
-  let rb = Engine.analyze b ~m:64 in
+  ignore (ok (Pipeline.run_checked (Pipeline.request a ~m:64)));
+  let hits_before, _ = Pipeline.cache_stats () in
+  let rb = ok (Pipeline.run_checked (Pipeline.request b ~m:64)) in
   Alcotest.(check bool) "renamed spec hits the same entry" true rb.Report.from_cache;
-  let hits_after, _ = Engine.cache_stats () in
+  let hits_after, _ = Pipeline.cache_stats () in
   Alcotest.(check bool) "hit counted" true (hits_after > hits_before)
 
 let test_cache_distinguishes_m () =
   (* beta alone does not determine the integer tile: m is in the key. *)
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let spec = Kernels.matmul ~l1:4 ~l2:4 ~l3:4 in
-  ignore (Engine.analyze spec ~m:16);
-  let r = Engine.analyze spec ~m:256 in
+  ignore (ok (Pipeline.run_checked (Pipeline.request spec ~m:16)));
+  let r = ok (Pipeline.run_checked (Pipeline.request spec ~m:256)) in
   Alcotest.(check bool) "different m misses" false r.Report.from_cache
 
 let test_memoized_stages_agree () =
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let spec = Kernels.pointwise_conv ~b:2 ~c:4 ~k:8 ~w:7 ~h:7 in
   let m = 128 in
   let beta = Lower_bound.beta_of_bounds ~m spec.Spec.bounds in
   Alcotest.(check bool) "solve_lp = Tiling.solve_lp" true
-    (Rat.equal (Engine.solve_lp spec ~beta).Tiling.value
+    (Rat.equal (Pipeline.solve_lp spec ~beta).Tiling.value
        (Tiling.solve_lp spec ~beta).Tiling.value);
   Alcotest.(check (array int)) "tile_shared = Tiling.optimal_shared"
-    (Tiling.optimal_shared spec ~m) (Engine.tile_shared spec ~m);
+    (Tiling.optimal_shared spec ~m) (Pipeline.tile_shared spec ~m);
   (* The engine canonicalizes to the lex-max optimum (so the plan fast
      path and the LP path agree bit-for-bit); of_lambda of that lambda
      is the pinned tile contract. *)
   Alcotest.(check (array int)) "tile = Tiling.of_lambda (lex-max)"
     (Tiling.of_lambda spec ~m (Tiling.solve_lp_lexmax spec ~beta).Tiling.lambda)
-    (Engine.tile spec ~m)
+    (Pipeline.tile spec ~m)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel sweep                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_parallel_sweep_matches_sequential () =
-  Engine.reset_caches ();
-  let sequential = Engine.sweep ~jobs:1 (mk_requests ()) in
-  Engine.reset_caches ();
-  let parallel = Engine.sweep ~jobs:4 (mk_requests ()) in
+  Pipeline.reset_caches ();
+  let sequential = List.map ok (Pipeline.sweep_checked ~jobs:1 (mk_requests ())) in
+  Pipeline.reset_caches ();
+  let parallel = List.map ok (Pipeline.sweep_checked ~jobs:4 (mk_requests ())) in
   Alcotest.(check int) "same number of reports" (List.length sequential)
     (List.length parallel);
   List.iteri
@@ -100,20 +105,26 @@ let test_parallel_sweep_matches_sequential () =
 let test_parallel_sweep_with_warm_cache () =
   (* Concurrent workers racing on the same memo entries must still
      produce the sequential answer. Duplicate kernels maximize races. *)
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let reqs = mk_requests () @ mk_requests () in
-  let seq = List.map report_text (Engine.sweep ~jobs:1 reqs) in
-  Engine.reset_caches ();
-  let par = List.map report_text (Engine.sweep ~jobs:3 reqs) in
+  let seq = List.map (fun r -> report_text (ok r)) (Pipeline.sweep_checked ~jobs:1 reqs) in
+  Pipeline.reset_caches ();
+  let par = List.map (fun r -> report_text (ok r)) (Pipeline.sweep_checked ~jobs:3 reqs) in
   Alcotest.(check (list string)) "duplicated requests, warm cache" seq par
 
 let test_sweep_order_is_input_order () =
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let specs =
     [ Kernels.matmul ~l1:8 ~l2:8 ~l3:8; Kernels.nbody ~l1:16 ~l2:16;
       Kernels.outer_product ~m:12 ~n:12 ]
   in
-  let reports = Engine.sweep_grid ~jobs:4 specs ~ms:[ 16; 64 ] in
+  let reports =
+    List.map ok
+      (Pipeline.sweep_checked ~jobs:4
+         (List.concat_map
+            (fun spec -> List.map (fun m -> Pipeline.request spec ~m) [ 16; 64 ])
+            specs))
+  in
   let got = List.map (fun (r : Report.t) -> (r.Report.spec.Spec.name, r.Report.m)) reports in
   let expected =
     List.concat_map (fun s -> [ (s.Spec.name, 16); (s.Spec.name, 64) ]) specs
@@ -280,23 +291,24 @@ let prop_memo_sharding_invisible =
 
 let fill_caches () =
   List.iter
-    (fun (spec, m) -> ignore (Engine.analyze ~shared:true spec ~m))
+    (fun (spec, m) ->
+      ignore (ok (Pipeline.run_checked (Pipeline.request ~shared:true spec ~m))))
     [
       (Kernels.matmul ~l1:24 ~l2:24 ~l3:24, 64);
       (Kernels.matmul ~l1:24 ~l2:24 ~l3:24, 256);
       (Kernels.matvec ~m:64 ~n:64, 64);
       (Kernels.nbody ~l1:48 ~l2:48, 128);
     ];
-  ignore (Engine.hierarchy (Kernels.matmul ~l1:16 ~l2:16 ~l3:16) ~capacities:[| 32; 256 |])
+  ignore (Pipeline.hierarchy (Kernels.matmul ~l1:16 ~l2:16 ~l3:16) ~capacities:[| 32; 256 |])
 
 let test_cache_snapshot_roundtrip () =
-  let mode0 = Engine.plan_mode () in
-  Engine.set_plan_mode Engine.Plan_inline;
-  Engine.reset_caches ();
+  let mode0 = Pipeline.plan_mode () in
+  Pipeline.set_plan_mode Pipeline.Plan_inline;
+  Pipeline.reset_caches ();
   fill_caches ();
-  let snap1 = Engine.cache_snapshot () in
-  Engine.reset_caches ();
-  (match Engine.cache_restore snap1 with
+  let snap1 = Pipeline.cache_snapshot () in
+  Pipeline.reset_caches ();
+  (match Pipeline.cache_restore snap1 with
   | Error msg -> Alcotest.failf "restore failed: %s" msg
   | Ok (loaded, rejected) ->
     Alcotest.(check bool) "entries restored" true (loaded > 0);
@@ -305,7 +317,7 @@ let test_cache_snapshot_roundtrip () =
      written in sorted key order with exact rationals, so the cycle is
      lossless and the on-disk file is deterministic. *)
   Alcotest.(check string) "snapshot byte-stable across restore" snap1
-    (Engine.cache_snapshot ());
+    (Pipeline.cache_snapshot ());
   (* a restored cache actually serves: the same sweep again must not
      touch the LP solver *)
   let s0 = Obs.snapshot () in
@@ -313,15 +325,15 @@ let test_cache_snapshot_roundtrip () =
   let d = Obs.diff s0 (Obs.snapshot ()) in
   let counter n = Option.value ~default:0 (List.assoc_opt n d.Obs.scounters) in
   Alcotest.(check int) "no LP misses after restore" 0 (counter "memo.lp.misses");
-  Engine.set_plan_mode mode0;
-  Engine.reset_caches ()
+  Pipeline.set_plan_mode mode0;
+  Pipeline.reset_caches ()
 
 let test_cache_restore_tolerates_corruption () =
-  Engine.reset_caches ();
-  (match Engine.cache_restore "not json at all {" with
+  Pipeline.reset_caches ();
+  (match Pipeline.cache_restore "not json at all {" with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ());
-  (match Engine.cache_restore "{\"v\":99,\"lp\":[]}" with
+  (match Pipeline.cache_restore "{\"v\":99,\"lp\":[]}" with
   | Ok _ -> Alcotest.fail "future version accepted"
   | Error _ -> ());
   (* Per-entry damage must not poison the rest: the bad lp value and the
@@ -333,12 +345,12 @@ let test_cache_restore_tolerates_corruption () =
     ^ "\"shared\":[{\"t\":[4,4]}],\"nested\":[{\"k\":\"N1\",\"ts\":[[2,2]]}],"
     ^ "\"plans\":[]}"
   in
-  (match Engine.cache_restore mixed with
+  (match Pipeline.cache_restore mixed with
   | Error msg -> Alcotest.failf "mixed snapshot refused outright: %s" msg
   | Ok (loaded, rejected) ->
     Alcotest.(check int) "good entry loaded" 1 loaded;
     Alcotest.(check int) "damaged entries rejected" 2 rejected);
-  Engine.reset_caches ()
+  Pipeline.reset_caches ()
 
 (* A snapshot written before the warm-start basis memo was removed: the
    same caches [fill_caches] builds, plus a "basis" section. Every lp,
@@ -350,10 +362,10 @@ let test_cache_restore_snapshot_with_basis () =
   let json = match Jsonlite.parse old with Ok j -> j | Error msg -> Alcotest.fail msg in
   let count name = List.length (Option.get (Jsonlite.list_member name json)) in
   Alcotest.(check bool) "fixture carries basis entries" true (count "basis" > 0);
-  let mode0 = Engine.plan_mode () in
-  Engine.set_plan_mode Engine.Plan_inline;
-  Engine.reset_caches ();
-  (match Engine.cache_restore old with
+  let mode0 = Pipeline.plan_mode () in
+  Pipeline.set_plan_mode Pipeline.Plan_inline;
+  Pipeline.reset_caches ();
+  (match Pipeline.cache_restore old with
   | Error msg -> Alcotest.failf "restore failed: %s" msg
   | Ok (loaded, rejected) ->
     Alcotest.(check int) "every lp/shared/nested/plan entry loaded"
@@ -366,26 +378,28 @@ let test_cache_restore_snapshot_with_basis () =
     String.sub old 0 basis_start ^ String.sub old basis_end (String.length old - basis_end)
   in
   Alcotest.(check string) "re-snapshot = old snapshot minus its basis section" without_basis
-    (Engine.cache_snapshot ());
+    (Pipeline.cache_snapshot ());
   let s0 = Obs.snapshot () in
   fill_caches ();
   let d = Obs.diff s0 (Obs.snapshot ()) in
   Alcotest.(check int) "no LP misses after restore" 0
     (Option.value ~default:0 (List.assoc_opt "memo.lp.misses" d.Obs.scounters));
-  Engine.set_plan_mode mode0;
-  Engine.reset_caches ()
+  Pipeline.set_plan_mode mode0;
+  Pipeline.reset_caches ()
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_report_fields_and_sims () =
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let spec = Kernels.matmul ~l1:16 ~l2:16 ~l3:16 in
   let r =
-    Engine.analyze ~shared:true
-      ~sims:Engine.[ Pipeline.sim Optimal; Pipeline.sim ~policy:Policy.Opt Untiled ]
-      spec ~m:64
+    ok
+      (Pipeline.run_checked
+         (Pipeline.request ~shared:true
+            ~sims:Pipeline.[ sim Optimal; sim ~policy:Policy.Opt Untiled ]
+            spec ~m:64))
   in
   Alcotest.(check int) "two simulations" 2 (List.length r.Report.sims);
   Alcotest.(check bool) "shared tile present" true (r.Report.tile_shared <> None);
@@ -402,9 +416,10 @@ let test_report_fields_and_sims () =
     (List.map fst r.Report.timings = [ "analysis"; "shared_tile"; "simulate" ])
 
 let test_report_json_shape () =
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let spec = Kernels.matvec ~m:32 ~n:32 in
-  let r = Engine.analyze ~sims:[ Pipeline.sim Engine.Untiled ] spec ~m:64 in
+  let sims = [ Pipeline.sim Pipeline.Untiled ] in
+  let r = ok (Pipeline.run_checked (Pipeline.request ~sims spec ~m:64)) in
   let j = Report.to_json r in
   List.iter
     (fun frag ->
@@ -430,54 +445,64 @@ let test_report_json_shape () =
   Alcotest.(check int) "balanced JSON" 0 !depth
 
 let test_hierarchy_report () =
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let spec = Kernels.matmul ~l1:16 ~l2:16 ~l3:16 in
-  let h = Engine.hierarchy spec ~capacities:[| 32; 256 |] in
+  let h = Pipeline.hierarchy spec ~capacities:[| 32; 256 |] in
   Alcotest.(check int) "two levels of tiles" 2 (List.length h.Pipeline.htiles);
   Alcotest.(check int) "two boundary measurements" 2
     (Array.length h.Pipeline.hresult.Executor.boundary_words);
   (* second call is served by the nested-tile memo table *)
-  let hits_before, _ = Engine.cache_stats () in
-  ignore (Engine.hierarchy spec ~capacities:[| 32; 256 |]);
-  let hits_after, _ = Engine.cache_stats () in
+  let hits_before, _ = Pipeline.cache_stats () in
+  ignore (Pipeline.hierarchy spec ~capacities:[| 32; 256 |]);
+  let hits_after, _ = Pipeline.cache_stats () in
   Alcotest.(check bool) "nested tiles memoized" true (hits_after > hits_before)
 
+let test_hierarchy_refuses_oversized_kernel () =
+  (* the same iteration limit run_checked applies to simulations, raised
+     as the typed error before any tiling or simulation work *)
+  let spec = Kernels.matmul ~l1:4096 ~l2:4096 ~l3:4096 in
+  match Pipeline.hierarchy spec ~capacities:[| 512; 16384 |] with
+  | _ -> Alcotest.fail "a 4096^3 kernel was simulated"
+  | exception Engine_error.Error (Engine_error.Kernel_too_large _ as e) ->
+    Alcotest.(check string) "code" "kernel_too_large" (Engine_error.code e);
+    Alcotest.(check int) "exit" 5 (Engine_error.exit_code e)
+
 let test_partition_checked () =
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let spec = Kernels.matmul ~l1:64 ~l2:64 ~l3:64 in
-  (match Engine.partition_checked spec ~p:64 ~m_local:4096 ~net:Partition_solve.Words with
+  (match Pipeline.partition_checked spec ~p:64 ~m_local:4096 ~net:Partition_solve.Words with
   | Error e -> Alcotest.failf "valid partition failed: %s" (Engine_error.to_string e)
   | Ok sol ->
     Alcotest.(check (array int)) "grid" [| 4; 4; 4 |] sol.Partition_solve.grid;
     (* the second identical request is served from the partition memo *)
-    let hits_before, _ = Engine.cache_stats () in
-    (match Engine.partition_checked spec ~p:64 ~m_local:4096 ~net:Partition_solve.Words with
+    let hits_before, _ = Pipeline.cache_stats () in
+    (match Pipeline.partition_checked spec ~p:64 ~m_local:4096 ~net:Partition_solve.Words with
     | Ok sol2 ->
       Alcotest.(check string) "memoized answer identical"
         (Partition_solve.to_json sol) (Partition_solve.to_json sol2)
     | Error e -> Alcotest.failf "memoized request failed: %s" (Engine_error.to_string e));
-    let hits_after, _ = Engine.cache_stats () in
+    let hits_after, _ = Pipeline.cache_stats () in
     Alcotest.(check bool) "partition memo hit" true (hits_after > hits_before));
   (* typed refusals, each with its stable wire code and exit code *)
-  (match Engine.partition_checked (Kernels.nbody ~l1:7 ~l2:7) ~p:11 ~m_local:64
+  (match Pipeline.partition_checked (Kernels.nbody ~l1:7 ~l2:7) ~p:11 ~m_local:64
            ~net:Partition_solve.Words with
   | Error (Engine_error.Unfactorable_p { p = 11 } as e) ->
     Alcotest.(check string) "code" "unfactorable_p" (Engine_error.code e);
     Alcotest.(check int) "exit" 12 (Engine_error.exit_code e)
   | Error e -> Alcotest.failf "wanted unfactorable_p, got %s" (Engine_error.code e)
   | Ok _ -> Alcotest.fail "p=11 accepted on a 7x7 nest");
-  (match Engine.partition_checked spec ~p:8 ~m_local:64
+  (match Pipeline.partition_checked spec ~p:8 ~m_local:64
            ~net:(Partition_solve.Alpha_beta { alpha = Rat.minus_one; beta = Rat.one }) with
   | Error (Engine_error.Network_model_invalid _ as e) ->
     Alcotest.(check string) "code" "network_model_invalid" (Engine_error.code e);
     Alcotest.(check int) "exit" 13 (Engine_error.exit_code e)
   | Error e -> Alcotest.failf "wanted network_model_invalid, got %s" (Engine_error.code e)
   | Ok _ -> Alcotest.fail "negative alpha accepted");
-  (match Engine.partition_checked spec ~p:0 ~m_local:64 ~net:Partition_solve.Words with
+  (match Pipeline.partition_checked spec ~p:0 ~m_local:64 ~net:Partition_solve.Words with
   | Error (Engine_error.Invalid_request _) -> ()
   | Error e -> Alcotest.failf "wanted invalid_request, got %s" (Engine_error.code e)
   | Ok _ -> Alcotest.fail "p=0 accepted");
-  match Engine.partition_checked ~deadline:0.0 spec ~p:4 ~m_local:64 ~net:Partition_solve.Words with
+  match Pipeline.partition_checked ~deadline:0.0 spec ~p:4 ~m_local:64 ~net:Partition_solve.Words with
   | Error (Engine_error.Deadline_exceeded _) -> ()
   | Error e -> Alcotest.failf "wanted deadline_exceeded, got %s" (Engine_error.code e)
   | Ok _ -> Alcotest.fail "expired deadline accepted"
@@ -488,10 +513,10 @@ let test_partition_validate () =
      per-processor maximum equals the model's words exactly — on a
      ragged nest whose remainder blocks differ from the full ones *)
   let spec = Kernels.matmul ~l1:10 ~l2:8 ~l3:8 in
-  match Engine.partition_checked spec ~p:6 ~m_local:4096 ~net:Partition_solve.Words with
+  match Pipeline.partition_checked spec ~p:6 ~m_local:4096 ~net:Partition_solve.Words with
   | Error e -> Alcotest.failf "partition: %s" (Engine_error.to_string e)
   | Ok sol -> (
-    match Engine.partition_validate spec sol with
+    match Pipeline.partition_validate spec sol with
     | Error e -> Alcotest.failf "validate: %s" (Engine_error.to_string e)
     | Ok v ->
       Alcotest.(check bool) "simulation matches the model exactly" true
@@ -557,5 +582,7 @@ let () =
           Alcotest.test_case "fields and sims" `Quick test_report_fields_and_sims;
           Alcotest.test_case "json shape" `Quick test_report_json_shape;
           Alcotest.test_case "hierarchy" `Quick test_hierarchy_report;
+          Alcotest.test_case "hierarchy refuses oversized kernel" `Quick
+            test_hierarchy_refuses_oversized_kernel;
         ] );
     ]

@@ -465,20 +465,24 @@ let qcheck_name_roundtrip =
        QCheck.string name_roundtrips)
 
 (* ------------------------------------------------------------------ *)
-(* Engine integration                                                  *)
+(* Pipeline integration                                                *)
 (* ------------------------------------------------------------------ *)
 
 let sweep_reports () =
   let spec = Kernels.matmul ~l1:16 ~l2:16 ~l3:16 in
-  let sims = Engine.[ Pipeline.sim Optimal; Pipeline.sim Classic ] in
+  let sims = Pipeline.[ sim Optimal; sim Classic ] in
   let reqs =
     List.map (fun m -> Pipeline.request ~sims ~shared:true spec ~m) [ 64; 128; 64 ]
   in
-  Engine.sweep ~jobs:2 reqs
+  List.map
+    (function
+      | Ok r -> r
+      | Error e -> Alcotest.failf "sweep: %s" (Engine_error.to_string e))
+    (Pipeline.sweep_checked ~jobs:2 reqs)
 
 let test_engine_instrumentation () =
   Obs.reset ();
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let reports = sweep_reports () in
   Alcotest.(check int) "three reports" 3 (List.length reports);
   let s = Obs.snapshot () in
@@ -491,7 +495,7 @@ let test_engine_instrumentation () =
   Alcotest.(check int) "simulations counted" 6 (cv "pipeline.simulations");
   Alcotest.(check bool) "pool ran" true (cv "pool.maps" > 0);
   (* obs memo counters mirror the per-table counters exactly *)
-  let hits, misses = Engine.cache_stats () in
+  let hits, misses = Pipeline.cache_stats () in
   let sum suffix =
     List.fold_left
       (fun acc name -> acc + cv ("memo." ^ name ^ "." ^ suffix))
@@ -510,7 +514,7 @@ let test_engine_instrumentation () =
 
 let test_json_of_sweep_obs_section () =
   Obs.reset ();
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let reports = sweep_reports () in
   let plain = Report.json_of_sweep ~timings:false reports in
   Alcotest.(check bool) "no obs: versioned object" true

@@ -203,21 +203,21 @@ let test_shape_too_large () =
     | None -> Alcotest.fail "not classified at all")
 
 let test_plan_of_negative_cache () =
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let spec = big_spec () in
-  (match Engine.plan_of spec with
+  (match Pipeline.plan_of spec with
   | Ok _ -> Alcotest.fail "plan_of accepted an oversized shape"
   | Error (Engine_error.Shape_too_large _) -> ()
   | Error e -> Alcotest.failf "plan_of: wrong error %s" (Engine_error.code e));
   (* the failure is cached: asking again must not re-enumerate, and an
      analyze-path request for the same shape still succeeds via LP *)
-  (match Engine.plan_of spec with
+  (match Pipeline.plan_of spec with
   | Error (Engine_error.Shape_too_large _) -> ()
   | _ -> Alcotest.fail "second plan_of not a cached refusal");
-  (match Engine.analyze_checked spec ~m:128 with
+  (match Pipeline.run_checked (Pipeline.request spec ~m:128) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "analyze of oversized shape failed: %s" (Engine_error.code e));
-  Engine.reset_caches ()
+  Pipeline.reset_caches ()
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline integration: modes, byte identity, miss collapse           *)
@@ -242,11 +242,11 @@ let repeat_shape_reqs () =
     List.length (List.sort_uniq compare (List.map Memo.key_of_shape specs)) )
 
 let with_mode mode body =
-  let m0 = Engine.plan_mode () in
-  Engine.set_plan_mode mode;
+  let m0 = Pipeline.plan_mode () in
+  Pipeline.set_plan_mode mode;
   Fun.protect ~finally:(fun () ->
-      Engine.set_plan_mode m0;
-      Engine.reset_caches ())
+      Pipeline.set_plan_mode m0;
+      Pipeline.reset_caches ())
     body
 
 let run_reports reqs =
@@ -254,22 +254,22 @@ let run_reports reqs =
     (function
       | Ok r -> Report.to_json ~timings:false r
       | Error e -> "error:" ^ Engine_error.code e)
-    (Engine.sweep_checked ~jobs:1 reqs)
+    (Pipeline.sweep_checked ~jobs:1 reqs)
 
 let test_plan_off_vs_inline_identical () =
   let reqs, distinct = repeat_shape_reqs () in
   (* "Off" is Plan_deferred never drained by compile_pending: shapes
      only queue, so every point is answered on the LP path. *)
   let off =
-    with_mode Engine.Plan_deferred (fun () ->
-      Engine.reset_caches ();
+    with_mode Pipeline.Plan_deferred (fun () ->
+      Pipeline.reset_caches ();
       let m0 = Obs.value c_lp_misses in
       let r = run_reports reqs in
       (r, Obs.value c_lp_misses - m0))
   in
   let on =
-    with_mode Engine.Plan_inline (fun () ->
-      Engine.reset_caches ();
+    with_mode Pipeline.Plan_inline (fun () ->
+      Pipeline.reset_caches ();
       let m0 = Obs.value c_lp_misses in
       let h0 = Obs.value c_plan_hits in
       let r = run_reports reqs in
@@ -285,11 +285,11 @@ let test_plan_off_vs_inline_identical () =
   Alcotest.(check bool) "plan cache actually hit" true (on_plan_hits > 0)
 
 let test_deferred_compiles_between_batches () =
-  with_mode Engine.Plan_deferred (fun () ->
-    Engine.reset_caches ();
+  with_mode Pipeline.Plan_deferred (fun () ->
+    Pipeline.reset_caches ();
     let spec = Kernels.matmul ~l1:48 ~l2:48 ~l3:48 in
     (* first request: LP-served, shape queued rather than compiled *)
-    (match Engine.analyze_checked spec ~m:256 with
+    (match Pipeline.run_checked (Pipeline.request spec ~m:256) with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "analyze: %s" (Engine_error.code e));
     Alcotest.(check int) "shape pending after first touch" 1 (Pipeline.pending_count ());
@@ -298,14 +298,16 @@ let test_deferred_compiles_between_batches () =
     (* an unseen (bounds, M) point of the same shape is now plan-served:
        no new LP-memo miss *)
     let m0 = Obs.value c_lp_misses in
-    (match Engine.analyze_checked (Kernels.matmul ~l1:96 ~l2:24 ~l3:48) ~m:512 with
+    (match
+       Pipeline.run_checked (Pipeline.request (Kernels.matmul ~l1:96 ~l2:24 ~l3:48) ~m:512)
+     with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "analyze: %s" (Engine_error.code e));
     Alcotest.(check int) "plan-served: zero LP misses" 0 (Obs.value c_lp_misses - m0))
 
 let test_install_preloaded_plan () =
-  with_mode Engine.Plan_deferred (fun () ->
-    Engine.reset_caches ();
+  with_mode Pipeline.Plan_deferred (fun () ->
+    Pipeline.reset_caches ();
     let spec = Kernels.mttkrp ~i:16 ~j:16 ~k:16 ~r:8 in
     (* simulate `serve --plans`: install a plan decoded from JSON, then
        even the first request avoids the LP *)
@@ -317,9 +319,9 @@ let test_install_preloaded_plan () =
         | Error msg -> Alcotest.failf "of_json: %s" msg)
       | Error msg -> Alcotest.failf "parse: %s" msg
     in
-    Engine.install_plan plan;
+    Pipeline.install_plan plan;
     let m0 = Obs.value c_lp_misses in
-    (match Engine.analyze_checked spec ~m:4096 with
+    (match Pipeline.run_checked (Pipeline.request spec ~m:4096) with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "analyze: %s" (Engine_error.code e));
     Alcotest.(check int) "first request already plan-served" 0 (Obs.value c_lp_misses - m0);

@@ -220,34 +220,30 @@ let test_response_shapes () =
     err
 
 (* ------------------------------------------------------------------ *)
-(* Checked engine API                                                  *)
+(* Checked pipeline API                                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_run_checked () =
   let spec = spec_of "matmul" in
-  (match Engine.analyze_checked spec ~m:64 with
+  (match Pipeline.run_checked (Pipeline.request spec ~m:64) with
   | Ok r -> Alcotest.(check int) "m echoed" 64 r.Report.m
   | Error e -> Alcotest.failf "valid request failed: %s" (Engine_error.to_string e));
-  (match Engine.analyze_checked spec ~m:1 with
+  (match Pipeline.run_checked (Pipeline.request spec ~m:1) with
   | Error (Engine_error.Cache_too_small { m = 1; _ }) -> ()
   | Error e -> Alcotest.failf "wanted cache_too_small, got %s" (Engine_error.code e)
   | Ok _ -> Alcotest.fail "m=1 accepted");
   (* an already-expired deadline trips before any work *)
-  (match Engine.analyze_checked ~deadline:0.0 spec ~m:64 with
+  match Pipeline.run_checked ~deadline:0.0 (Pipeline.request spec ~m:64) with
   | Error (Engine_error.Deadline_exceeded _) -> ()
   | Error e -> Alcotest.failf "wanted deadline_exceeded, got %s" (Engine_error.code e)
-  | Ok _ -> Alcotest.fail "expired deadline accepted");
-  (* the raising wrapper surfaces the same typed error *)
-  match Pipeline.run (Pipeline.request spec ~m:1) with
-  | _ -> Alcotest.fail "raising wrapper did not raise"
-  | exception Engine_error.Error (Engine_error.Cache_too_small _) -> ()
+  | Ok _ -> Alcotest.fail "expired deadline accepted"
 
 let test_run_checked_too_large () =
   match Parser.parse_string "i = 2097152, j = 2097152, k = 2097152 : C[i,j,k] += A[i,j]" with
   | Error e -> Alcotest.failf "spec: %s" e
   | Ok spec -> (
     let sims = [ Pipeline.sim ~policy:Policy.Lru Pipeline.Optimal ] in
-    match Engine.analyze_checked ~sims spec ~m:1024 with
+    match Pipeline.run_checked (Pipeline.request ~sims spec ~m:1024) with
     | Error (Engine_error.Kernel_too_large { iterations; _ }) ->
       Alcotest.(check string) "exact count" "9223372036854775808" iterations
     | Error e -> Alcotest.failf "wanted kernel_too_large, got %s" (Engine_error.code e)
@@ -385,8 +381,8 @@ let test_report_matches_engine () =
   (* a serve response embeds exactly the report the engine API returns *)
   let spec = spec_of "matmul" in
   let expected =
-    (* serve defaults shared:true, analyze_checked defaults it off *)
-    match Engine.analyze_checked ~shared:true spec ~m:256 with
+    (* serve defaults shared:true, Pipeline.request defaults it off *)
+    match Pipeline.run_checked (Pipeline.request ~shared:true spec ~m:256) with
     | Ok r -> Report.to_json ~timings:false r
     | Error e -> Alcotest.failf "engine: %s" (Engine_error.to_string e)
   in
@@ -427,7 +423,7 @@ let test_loop_sweep_op () =
   let expected =
     List.map
       (fun m ->
-        match Engine.analyze_checked ~shared:true spec ~m with
+        match Pipeline.run_checked (Pipeline.request ~shared:true spec ~m) with
         | Ok r -> Report.to_json ~timings:false r
         | Error e -> Alcotest.failf "engine: %s" (Engine_error.to_string e))
       [ 64; 256 ]
@@ -447,7 +443,7 @@ let test_loop_partition_op () =
      (and hence the CLI) renders for the same request *)
   let spec = spec_of "matmul" in
   let expected =
-    match Engine.partition_checked spec ~p:64 ~m_local:4096 ~net:Partition_solve.Words with
+    match Pipeline.partition_checked spec ~p:64 ~m_local:4096 ~net:Partition_solve.Words with
     | Ok sol -> Partition_solve.to_json sol
     | Error e -> Alcotest.failf "engine: %s" (Engine_error.to_string e)
   in
@@ -525,13 +521,13 @@ let test_loop_deferred_warmup () =
   (* the daemon's contract: under Plan_deferred a batch's new shapes
      compile after its responses are flushed, so the next batch is
      plan-served with zero LP misses *)
-  let mode0 = Engine.plan_mode () in
-  Engine.set_plan_mode Engine.Plan_deferred;
+  let mode0 = Pipeline.plan_mode () in
+  Pipeline.set_plan_mode Pipeline.Plan_deferred;
   Fun.protect ~finally:(fun () ->
-      Engine.set_plan_mode mode0;
-      Engine.reset_caches ())
+      Pipeline.set_plan_mode mode0;
+      Pipeline.reset_caches ())
   @@ fun () ->
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let c_lp = Obs.counter "memo.lp.misses" in
   let first = run_loop [ Serve.Line (req 0); Eof ] in
   Alcotest.(check int) "first batch answered" 1 (List.length first);

@@ -146,15 +146,19 @@ let export_parallel_trace () =
   let spec = Kernels.matmul ~l1:16 ~l2:16 ~l3:16 in
   let reqs =
     List.map
-      (fun m -> Pipeline.request ~sims:[ Pipeline.sim Engine.Optimal ] ~shared:true spec ~m)
+      (fun m -> Pipeline.request ~sims:[ Pipeline.sim Pipeline.Optimal ] ~shared:true spec ~m)
       [ 64; 128; 256; 512 ]
   in
-  ignore (Engine.sweep ~jobs:3 reqs);
+  List.iter
+    (function
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "sweep: %s" (Engine_error.to_string e))
+    (Pipeline.sweep_checked ~jobs:3 reqs);
   Obs.Trace.disable ();
   Obs.Trace.export_json ()
 
 let test_chrome_json_valid () =
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let j = export_parallel_trace () in
   match Jsonlite.parse j with
   | Error msg -> Alcotest.failf "export not valid JSON: %s" msg
@@ -220,7 +224,7 @@ let test_chrome_json_valid () =
       (List.exists (fun e -> Jsonlite.str_member "name" e = Some "simplex.solve") xs)
 
 let test_write_file () =
-  Engine.reset_caches ();
+  Pipeline.reset_caches ();
   let j = export_parallel_trace () in
   let path = Filename.temp_file "trace_test" ".json" in
   Obs.Trace.write_file path;
