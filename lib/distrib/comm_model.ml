@@ -104,8 +104,7 @@ let coverage spec f =
         (fun l -> if l <= 1 then Rat.zero else Rat.rationalize (log (float_of_int l) /. log_f))
         spec.Spec.bounds
     in
-    let e = Lower_bound.exponent_by_lp spec ~beta in
-    Float.exp (Rat.to_float e.Lower_bound.k_hat *. log_f)
+    Float.exp (Rat.to_float (Tiling.lp_value spec ~beta) *. log_f)
   end
 
 let min_footprint spec ~iterations =

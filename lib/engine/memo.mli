@@ -1,7 +1,7 @@
 (** Memo cache for LP/analysis results, keyed by canonicalized specs.
 
-    Solving the tiling LP and the dual lower-bound LP with exact rational
-    arithmetic dominates analysis cost; sweeps re-solve the same
+    Solving the tiling LP with exact rational arithmetic dominates
+    analysis cost on the LP path; sweeps re-solve the same
     [(spec, beta)] point once per schedule/policy combination and CLI
     invocations re-solve it from scratch. Caching behind a canonical key
     makes repeats free.

@@ -129,18 +129,20 @@ let lp_lexmax spec ~beta =
   Memo.find_or_add lp_cache (Memo.key_of_spec_beta spec ~beta) (fun () ->
     Tiling.solve_lp_lexmax spec ~beta)
 
-let plan_lp_solution plan spec ~beta =
-  let lambda, value = Tiling_plan.answer plan ~beta in
-  { Tiling.lambda; value; dual = Tiling_plan.dual plan spec ~beta }
-
-let solve_lp spec ~beta =
+(* The canonical optimum plus the pricing function the bound reads: the
+   plan's vertex minimum when the plan serves, a certified LP otherwise. *)
+let priced_lp spec ~beta =
   staged "pipeline.solve_lp" t_lp (fun () ->
     let key = Memo.key_of_shape spec in
+    let lp_price beta = Tiling.lp_value spec ~beta in
     match Memo.find_opt plan_cache key with
-    | Some (Plan_ready plan) -> plan_lp_solution plan spec ~beta
+    | Some (Plan_ready plan) ->
+      let lambda, value = Tiling_plan.answer plan ~beta in
+      ( { Tiling.lambda; value; dual = Tiling_plan.dual plan spec ~beta },
+        fun beta -> Tiling_plan.value plan ~beta )
     | Some (Plan_failed _) ->
       Obs.incr c_plan_fallbacks;
-      lp_lexmax spec ~beta
+      (lp_lexmax spec ~beta, lp_price)
     | None ->
       (* Answer this request on the LP path, then make the shape's plan
          available for every later size: inline right now, or at the
@@ -149,16 +151,21 @@ let solve_lp spec ~beta =
       (match plan_mode () with
       | Plan_inline -> ignore (compile_and_install spec)
       | Plan_deferred -> note_pending key spec);
-      sol)
+      (sol, lp_price))
+
+let solve_lp spec ~beta = fst (priced_lp spec ~beta)
 
 let key_of_request spec ~m =
   let beta = Lower_bound.beta_of_bounds ~m spec.Spec.bounds in
   (beta, Memo.key_of_spec_beta spec ~beta ^ ";m=" ^ string_of_int m)
 
 let compute_analysis spec ~m ~beta =
-  let bound = staged "pipeline.lower_bound" t_lower (fun () -> Lower_bound.communication spec ~m) in
-  let lp = solve_lp spec ~beta in
-  let tile = staged "pipeline.tile" t_tile (fun () -> Tiling.of_lambda spec ~m lp.Tiling.lambda) in
+  let ({ Tiling.lambda; value = k_hat; _ } as lp), price = priced_lp spec ~beta in
+  let bound =
+    staged "pipeline.lower_bound" t_lower (fun () ->
+      Lower_bound.communication spec ~m ~beta ~price ~lambda ~k_hat)
+  in
+  let tile = staged "pipeline.tile" t_tile (fun () -> Tiling.of_lambda spec ~m lambda) in
   let traffic = Tiling.analytic_traffic spec tile in
   let moved = traffic.Tiling.reads +. traffic.Tiling.writes in
   {

@@ -146,6 +146,9 @@ val solve_lp : Spec.t -> beta:Rat.t array -> Tiling.lp_solution
     {!plan_mode}). *)
 
 val lower_bound : Spec.t -> m:int -> Lower_bound.bound
+(** Priced by the path that served [lambda]: {!Tiling_plan.value} (no
+    simplex solve) or {!Tiling.lp_value}. *)
+
 val tile : Spec.t -> m:int -> int array
 (** Integer tile under the paper's per-array-M model (memoized). *)
 

@@ -1,4 +1,4 @@
-type exponent = { k_hat : Rat.t; witness_q : int list; shat : Rat.t array }
+type exponent = { k_hat : Rat.t; witness_q : int list }
 
 let beta_of_bounds ~m bounds =
   if m < 2 then invalid_arg "Lower_bound.beta_of_bounds: cache size must be >= 2";
@@ -39,27 +39,23 @@ let exponent_by_enumeration ?(max_dim = 20) spec ~beta =
   if d > max_dim then
     invalid_arg
       (Printf.sprintf "Lower_bound.exponent_by_enumeration: d = %d exceeds max_dim = %d" d max_dim);
-  let n = Spec.num_arrays spec in
   let best = ref None in
   for mask = 0 to (1 lsl d) - 1 do
     let q = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init d (fun i -> i)) in
-    let sol = Simplex.solve_exn (Hbl_lp.theorem2_q spec ~beta ~q) in
-    let k = sol.Simplex.objective in
+    let k = k_of_q spec ~beta ~q in
     match !best with
-    | Some (k0, _, _) when Rat.compare k0 k <= 0 -> ()
-    | _ -> best := Some (k, q, Array.sub sol.Simplex.primal 0 n)
+    | Some (k0, _) when Rat.compare k0 k <= 0 -> ()
+    | _ -> best := Some (k, q)
   done;
   match !best with
-  | Some (k_hat, witness_q, shat) -> { k_hat; witness_q; shat }
+  | Some (k_hat, witness_q) -> { k_hat; witness_q }
   | None -> assert false
 
 let exponent_by_lp spec ~beta =
-  let d = Spec.num_loops spec and n = Spec.num_arrays spec in
+  let d = Spec.num_loops spec in
   let sol = Simplex.solve_exn (Hbl_lp.dual_tiling spec ~beta) in
-  let zeta = Array.sub sol.Simplex.primal 0 d in
-  let shat = Array.sub sol.Simplex.primal d n in
-  let witness_q = List.filter (fun i -> Rat.sign zeta.(i) > 0) (List.init d (fun i -> i)) in
-  { k_hat = sol.Simplex.objective; witness_q; shat }
+  let witness_q = List.filter (fun i -> Rat.sign sol.Simplex.primal.(i) > 0) (List.init d Fun.id) in
+  { k_hat = sol.Simplex.objective; witness_q }
 
 type bound = {
   exponent : exponent;
@@ -74,15 +70,26 @@ type bound = {
 
 let pow_m ~m (e : Rat.t) = Float.exp (Rat.to_float e *. log (float_of_int m))
 
-let communication spec ~m =
-  let beta = beta_of_bounds ~m spec.Spec.bounds in
-  let exponent = exponent_by_lp spec ~beta in
-  let iterations =
-    Array.fold_left (fun acc l -> acc *. float_of_int l) 1.0 spec.Spec.bounds
+(* k(Q) = price beta^Q (beta on Q, 1 elsewhere) is antitone in Q inside
+   the tight loops T, where every optimal dual's zeta lives, so one
+   index-order pass of drops that keep k(Q) = k_hat ends inclusion-minimal.
+   k({}) = s_HBL. *)
+let witness ~price ~beta ~lambda ~k_hat ~s_hbl =
+  let beta_q q = Array.mapi (fun i b -> if List.mem i q then b else Rat.one) beta in
+  let d = Array.length beta in
+  let tight = List.filter (fun i -> Rat.equal lambda.(i) beta.(i)) (List.init d Fun.id) in
+  let drop q i =
+    let q' = List.filter (( <> ) i) q in
+    if Rat.equal (price (beta_q q')) k_hat then q' else q
   in
+  if Rat.equal s_hbl k_hat then [] else List.fold_left drop tight tight
+
+let communication spec ~m ~beta ~price ~lambda ~k_hat =
+  let s_hbl = price (Array.make (Array.length beta) Rat.one) in
+  let exponent = { k_hat; witness_q = witness ~price ~beta ~lambda ~k_hat ~s_hbl } in
+  let iterations = Array.fold_left (fun acc l -> acc *. float_of_int l) 1.0 spec.Spec.bounds in
   let tile_cap = pow_m ~m exponent.k_hat in
   let words_paper = iterations /. tile_cap *. float_of_int m in
-  let s_hbl = Hbl_lp.s_hbl spec in
   let words_classic = iterations *. pow_m ~m (Rat.sub Rat.one s_hbl) in
   let trivial_words = float_of_int (Spec.total_array_words spec) in
   (* The formula charges M words per tile; with a single tile that

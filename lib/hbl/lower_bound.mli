@@ -8,14 +8,14 @@
     [(prod_i L_i / M^k_hat) * M = prod_i L_i * M^(1 - k_hat)] words of
     traffic.
 
-    Two independent computations of [k_hat] are provided: the literal
-    [2^d] enumeration over small-index subsets [Q], and a single solve of
-    the dual tiling LP (Theorem 3 says they agree; tests assert it). *)
+    By Theorem 3 [k_hat] is the value [f(beta)] of the tiling LP (5.1), so
+    {!communication} is arithmetic over one pricing function [f] (plan
+    vertex minimum or certified LP value). The literal [2^d] enumeration
+    and the dual LP (5.6) are the oracles tests compare against. *)
 
 type exponent = {
   k_hat : Rat.t;  (** [log_M] of the tile-size upper bound *)
   witness_q : int list;  (** a minimizing small-index set [Q] *)
-  shat : Rat.t array;  (** the per-array exponents achieving [k(Q)] *)
 }
 
 val beta_of_bounds : m:int -> int array -> Rat.t array
@@ -32,7 +32,9 @@ val beta_pow : base:int -> m_exp:int -> int -> Rat.t
     @raise Invalid_argument otherwise. *)
 
 val k_of_q : Spec.t -> beta:Rat.t array -> q:int list -> Rat.t
-(** Least Theorem-2 exponent for a fixed [Q] (see {!Hbl_lp.theorem2_q}). *)
+(** Least Theorem-2 exponent for a fixed [Q] (see {!Hbl_lp.theorem2_q}).
+    By LP duality it equals [f(beta^Q)], the LP (5.1) value at
+    [beta^Q_i = beta_i] for [i] in [Q] and [1] elsewhere. *)
 
 val k_of_q_literal : Spec.t -> beta:Rat.t array -> q:int list -> Rat.t
 (** The paper's literal formula: solve the [Q]-reduced HBL LP for
@@ -49,7 +51,7 @@ val exponent_by_enumeration : ?max_dim:int -> Spec.t -> beta:Rat.t array -> expo
 val exponent_by_lp : Spec.t -> beta:Rat.t array -> exponent
 (** Same value via one dual-tiling-LP solve; [witness_q] is read off the
     optimal dual solution ([Q = {i : zeta_i > 0}], Theorem 3 case
-    analysis). *)
+    analysis), so on ties it depends on the solver's vertex. *)
 
 type bound = {
   exponent : exponent;
@@ -73,9 +75,16 @@ type bound = {
   trivial_words : float;  (** size of all arrays: read inputs + write outputs once *)
 }
 
-val communication : Spec.t -> m:int -> bound
-(** The headline result: arbitrary-bounds communication lower bound for
-    executing the whole nest with a cache of [m] words. Uses
-    {!exponent_by_lp} and {!beta_of_bounds}. *)
+val communication :
+  Spec.t -> m:int -> beta:Rat.t array -> price:(Rat.t array -> Rat.t) ->
+  lambda:Rat.t array -> k_hat:Rat.t -> bound
+(** The bound for a cache of [m] words from the canonical (lex-max)
+    optimum [lambda] of LP (5.1) at [beta], its value [k_hat], and
+    [price] = [f]. No LP of its own: [s_HBL = f(1, ..., 1)] (every loop
+    is used, so the bound rows are slack), and [witness_q] starts from
+    the tight loops [{i : lambda_i = beta_i}] and, in index order, drops
+    [i] whenever [k(Q \ {i}) = k_hat]. That [Q] is inclusion-minimal, empty
+    exactly when [k_hat = s_HBL], and a function of [f] and [lambda]
+    alone, so the plan and LP paths agree on it. *)
 
 val pp_bound : Format.formatter -> bound -> unit

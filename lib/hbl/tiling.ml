@@ -22,6 +22,26 @@ let solve_lp spec ~beta =
   let sol = Simplex.solve_exn (Hbl_lp.tiling spec ~beta) in
   { lambda = sol.Simplex.primal; value = sol.Simplex.objective; dual = sol.Simplex.dual }
 
+(* The optimal objective of [lp] alone, unique whatever basis the solver
+   lands on: Simplex.certify (exact, zero pivots) confirms the float
+   simplex's final basis, and only when that fails (degenerate ties the
+   float solver mis-resolves) does the full exact solver run. *)
+let certified_objective lp =
+  let certified =
+    match Simplex_float.solve lp with
+    | Simplex_float.Optimal fs -> Simplex.certify lp ~basis:fs.Simplex_float.basis
+    | Simplex_float.Unbounded | Simplex_float.Infeasible -> None
+  in
+  match certified with
+  | Some s ->
+    Obs.incr c_float_confirmed;
+    s.Simplex.objective
+  | None ->
+    Obs.incr c_exact_fallbacks;
+    (Simplex.solve_exn lp).Simplex.objective
+
+let lp_value spec ~beta = certified_objective (Hbl_lp.tiling spec ~beta)
+
 (* The optimal face of LP (5.1) is rarely a point, and which of its
    vertices the simplex lands on depends on pivot order — too fragile a
    contract for caches that must serve byte-identical answers. The
@@ -29,15 +49,9 @@ let solve_lp spec ~beta =
    maximize lambda_0, freeze it, maximize lambda_1, and so on. The last
    coordinate needs no solve — the value equation pins it.
 
-   Each per-k solve consumes only its optimal objective, which is unique
-   whatever basis the solver lands on. That makes the per-k solves safe
-   to serve from any exactly-certified basis: the float simplex
-   pre-screens, and Simplex.certify (exact arithmetic, zero pivots)
-   confirms its final basis. Only when certification fails — degenerate
-   ties the float solver mis-resolves — does the full exact solver run.
-   The base solve stays on the cold exact path: its dual vector is
-   returned to callers and is NOT unique on degenerate faces, so serving
-   it from a different basis would break byte-identity. *)
+   Each per-k solve consumes only its optimal objective, so it is
+   certified. The base solve stays exact: its dual vector is returned and
+   is NOT unique on degenerate faces. *)
 let solve_lp_lexmax spec ~beta =
   let base = Hbl_lp.tiling spec ~beta in
   let sol0 = Simplex.solve_exn base in
@@ -46,20 +60,6 @@ let solve_lp_lexmax spec ~beta =
   let lambda = Array.make d Rat.zero in
   let base_constrs = Array.to_list (Lp.constraints base) in
   let sum_row = Lp.constr ~name:"lex_total" (Array.make d Rat.one) Lp.Eq v in
-  let objective_of lp =
-    let certified =
-      match Simplex_float.solve lp with
-      | Simplex_float.Optimal fs -> Simplex.certify lp ~basis:fs.Simplex_float.basis
-      | Simplex_float.Unbounded | Simplex_float.Infeasible -> None
-    in
-    match certified with
-    | Some s ->
-      Obs.incr c_float_confirmed;
-      s.Simplex.objective
-    | None ->
-      Obs.incr c_exact_fallbacks;
-      (Simplex.solve_exn lp).Simplex.objective
-  in
   for k = 0 to d - 2 do
     let fixed =
       List.init k (fun i ->
@@ -69,8 +69,7 @@ let solve_lp_lexmax spec ~beta =
     in
     let obj = Array.make d Rat.zero in
     obj.(k) <- Rat.one;
-    let lp = Lp.make Lp.Maximize obj (base_constrs @ (sum_row :: fixed)) in
-    lambda.(k) <- objective_of lp
+    lambda.(k) <- certified_objective (Lp.make Lp.Maximize obj (base_constrs @ (sum_row :: fixed)))
   done;
   lambda.(d - 1) <- Array.fold_left Rat.sub v (Array.sub lambda 0 (d - 1));
   { lambda; value = v; dual = sol0.Simplex.dual }

@@ -17,21 +17,22 @@ val solve_lp : Spec.t -> beta:Rat.t array -> lp_solution
 (** Whichever optimal vertex the simplex pivots to — fine when only the
     objective matters. *)
 
+val lp_value : Spec.t -> beta:Rat.t array -> Rat.t
+(** The value [f(beta)] of LP (5.1) alone, for any [beta >= 0]. Being
+    unique, it is served by any certified basis: a floating-point
+    pre-screen ({!Simplex_float.solve}) proposes one, {!Simplex.certify}
+    confirms it exactly, and only if that fails does the exact solver run. *)
+
 val solve_lp_lexmax : Spec.t -> beta:Rat.t array -> lp_solution
 (** The {e lexicographically maximal} optimal solution: among all optima
     of (5.1), the one maximizing [lambda_0], then [lambda_1], ... —
     unique, hence safe to compare bit-for-bit across solver paths. This
     is the engine's canonical answer ({!Tiling_plan} reproduces it
-    without any simplex solves). Costs [d + 1] simplex solves; [dual] is
-    the multiplier vector of the initial value-finding solve.
-
-    The [d] per-[k] sub-solves consume only their (unique) optimal
-    objective value, so they may be answered by any certified optimal
-    basis: a floating-point pre-screen ({!Simplex_float.solve}) proposes
-    one, {!Simplex.certify} confirms it exactly, and only if that fails
-    does the exact solver run from scratch. The initial solve always runs
-    exactly because its [dual] vector is consumed and dual multipliers at
-    degenerate optima are not unique. *)
+    without any simplex solves). Costs [d + 1] LP solves; [dual] is the
+    multiplier vector of the initial value-finding solve. The [d] per-[k]
+    sub-solves consume only their optimal value, so they are certified
+    like {!lp_value}; the initial solve runs exactly because dual
+    multipliers at degenerate optima are not unique. *)
 
 val of_lambda : Spec.t -> m:int -> Rat.t array -> int array
 (** Integer tile from a (feasible) continuous LP solution: round

@@ -8,7 +8,7 @@
 
     This is the empirical side of the reproduction: measured
     [words_moved] for the schedule built by {!Tiling.optimal} is compared
-    against {!Lower_bound.communication} in the benchmarks. *)
+    against the lower bound of {!Pipeline.lower_bound} in the benchmarks. *)
 
 type result = {
   schedule : Schedules.t;

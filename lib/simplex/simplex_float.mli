@@ -9,8 +9,8 @@
     Benchmarked against the exact solver in E16 and cross-checked in the
     test suite on well-conditioned problems.
 
-    Do not use this for the paper's machinery; it is deliberately the
-    naive choice. *)
+    Production code only uses it as a pre-screen whose final basis
+    {!Simplex.certify} confirms exactly ([Tiling.lp_value]). *)
 
 type solution = {
   objective : float;

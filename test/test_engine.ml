@@ -80,6 +80,24 @@ let test_memoized_stages_agree () =
     (Tiling.of_lambda spec ~m (Tiling.solve_lp_lexmax spec ~beta).Tiling.lambda)
     (Pipeline.tile spec ~m)
 
+(* Once the shape's plan is installed, an analysis at a fresh
+   (bounds, m) is pure arithmetic: the plan answers lambda, and its
+   vertex minimum prices k_hat, s_HBL and the witness Q. *)
+let test_plan_served_analysis_solves_no_lp () =
+  Pipeline.reset_caches ();
+  let spec = Kernels.matmul ~l1:64 ~l2:64 ~l3:4 in
+  (match Pipeline.plan_of spec with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "plan refused: %s" (Engine_error.to_string e));
+  let s0 = Obs.snapshot () in
+  let fresh = Spec.with_bounds spec [| 96; 40; 3 |] in
+  let r = ok (Pipeline.run_checked (Pipeline.request fresh ~m:200)) in
+  let d = Obs.diff s0 (Obs.snapshot ()) in
+  let counter n = Option.value ~default:0 (List.assoc_opt n d.Obs.scounters) in
+  Alcotest.(check bool) "fresh analysis" false r.Report.from_cache;
+  Alcotest.(check int) "no simplex solves" 0 (counter "simplex.solves");
+  Pipeline.reset_caches ()
+
 (* ------------------------------------------------------------------ *)
 (* Parallel sweep                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -538,6 +556,8 @@ let () =
           Alcotest.test_case "names canonicalized" `Quick test_cache_ignores_names;
           Alcotest.test_case "m distinguishes" `Quick test_cache_distinguishes_m;
           Alcotest.test_case "stages agree with lib" `Quick test_memoized_stages_agree;
+          Alcotest.test_case "plan-served analysis solves no LP" `Quick
+            test_plan_served_analysis_solves_no_lp;
         ] );
       ( "sweep",
         [

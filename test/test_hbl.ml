@@ -168,7 +168,7 @@ let test_section_6_1_formula () =
   let m = 1 lsl 10 in
   let check_case (l1, l2, l3) =
     let spec = Kernels.matmul ~l1 ~l2 ~l3 in
-    let b = Lower_bound.communication spec ~m in
+    let b = Pipeline.lower_bound spec ~m in
     let f = float_of_int in
     let expect =
       Float.max
@@ -194,7 +194,7 @@ let test_section_6_1_formula () =
 
 let test_matvec_bound_words () =
   let spec = Kernels.matvec ~m:512 ~n:512 in
-  let b = Lower_bound.communication spec ~m:4096 in
+  let b = Pipeline.lower_bound spec ~m:4096 in
   Alcotest.(check bool) "LB ~ L1 L2" true
     (Float.abs (b.Lower_bound.words -. 262144.0) /. 262144.0 < 0.02);
   (* the classic formula is far too weak here *)
@@ -658,6 +658,43 @@ let props =
         let v_enum = (Lower_bound.exponent_by_enumeration spec ~beta).Lower_bound.k_hat in
         let v_lp = (Lower_bound.exponent_by_lp spec ~beta).Lower_bound.k_hat in
         Rat.equal v_tiling v_dual && Rat.equal v_tiling v_enum && Rat.equal v_tiling v_lp);
+    (* One pricing function for the bound: the plan-priced and the
+       LP-priced bound agree field for field, and the canonical witness is
+       an inclusion-minimal Theorem-2 minimizer. *)
+    QCheck.Test.make ~name:"bound priced by plan = priced by LP; witness minimal" ~count:80
+      arb_spec_beta (fun (spec, beta) ->
+        let m = 64 in
+        let plan = Tiling_plan.compile spec in
+        let lambda, k_hat = Tiling_plan.answer plan ~beta in
+        let by_plan =
+          Lower_bound.communication spec ~m ~beta ~lambda ~k_hat
+            ~price:(fun beta -> Tiling_plan.value plan ~beta)
+        in
+        let lp = Tiling.solve_lp_lexmax spec ~beta in
+        let by_lp =
+          Lower_bound.communication spec ~m ~beta ~lambda:lp.Tiling.lambda
+            ~k_hat:lp.Tiling.value ~price:(fun beta -> Tiling.lp_value spec ~beta)
+        in
+        let same_bound (a : Lower_bound.bound) (b : Lower_bound.bound) =
+          Rat.equal a.exponent.k_hat b.exponent.k_hat
+          && a.exponent.witness_q = b.exponent.witness_q
+          && a.m = b.m
+          && List.for_all2 Float.equal
+               [ a.iterations; a.tile_cap; a.words; a.words_paper; a.words_classic; a.trivial_words ]
+               [ b.iterations; b.tile_cap; b.words; b.words_paper; b.words_classic; b.trivial_words ]
+        in
+        let q = by_plan.Lower_bound.exponent.Lower_bound.witness_q in
+        let k_q q = Lower_bound.k_of_q spec ~beta ~q in
+        let classic =
+          by_plan.Lower_bound.iterations
+          *. Float.exp
+               (Rat.to_float (Rat.sub Rat.one (Hbl_lp.s_hbl spec)) *. log (float_of_int m))
+        in
+        same_bound by_plan by_lp
+        && Rat.equal (k_q q) k_hat
+        && List.for_all (fun i -> Rat.compare (k_q (List.filter (( <> ) i) q)) k_hat > 0) q
+        && Float.equal by_plan.Lower_bound.words_classic classic
+        && Rat.equal k_hat (Lower_bound.exponent_by_lp spec ~beta).Lower_bound.k_hat);
     QCheck.Test.make ~name:"literal Theorem-2 formula is a valid (weaker) bound" ~count:80
       arb_spec_beta (fun (spec, beta) ->
         let d = Spec.num_loops spec in

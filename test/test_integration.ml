@@ -54,7 +54,7 @@ let test_small_kernels_measured_vs_analytic () =
       let run = Executor.run spec ~schedule:(Schedules.Tiled tile) ~capacity:m in
       let analytic = Tiling.analytic_traffic spec tile in
       let analytic_total = analytic.Tiling.reads +. analytic.Tiling.writes in
-      let bound = (Lower_bound.communication spec ~m).Lower_bound.words in
+      let bound = (Pipeline.lower_bound spec ~m).Lower_bound.words in
       let measured = float_of_int run.Executor.words_moved in
       if measured < bound *. 0.999 then
         Alcotest.failf "%s: measured %.0f below bound %.0f" name measured bound;
@@ -86,13 +86,13 @@ let test_report_pp_renders () =
     [ "matmul"; "lower bound"; "tile"; "attainment" ]
 
 let test_closed_form_consistent_with_communication () =
-  (* Lower_bound.communication and Closed_form agree on the exponent. *)
+  (* Pipeline.lower_bound and Closed_form agree on the exponent. *)
   let spec = Kernels.matmul ~l1:512 ~l2:512 ~l3:4 in
   let m = 4096 in
   let cf = Closed_form.compute spec in
   let beta = Lower_bound.beta_of_bounds ~m spec.Spec.bounds in
   let k_cf = Closed_form.eval cf beta in
-  let b = Lower_bound.communication spec ~m in
+  let b = Pipeline.lower_bound spec ~m in
   Alcotest.(check bool) "same exponent" true (Rat.equal k_cf b.Lower_bound.exponent.Lower_bound.k_hat)
 
 let test_alpha_family_same_traffic () =

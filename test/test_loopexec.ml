@@ -153,7 +153,7 @@ let test_tiled_beats_untiled () =
 let test_measured_respects_lower_bound () =
   let spec = Kernels.matmul ~l1:48 ~l2:48 ~l3:48 in
   let m = 512 in
-  let bound = Lower_bound.communication spec ~m in
+  let bound = Pipeline.lower_bound spec ~m in
   List.iter
     (fun sched ->
       List.iter
@@ -175,7 +175,7 @@ let test_optimal_tiling_attains_bound () =
      traffic is within a small constant of the lower bound. *)
   let spec = Kernels.matmul ~l1:64 ~l2:64 ~l3:64 in
   let m = 768 in
-  let bound = Lower_bound.communication spec ~m in
+  let bound = Pipeline.lower_bound spec ~m in
   let tile = Tiling.optimal spec ~m:(m / 3) in
   let r = Executor.run spec ~schedule:(Schedules.Tiled tile) ~capacity:m in
   let ratio = float_of_int r.Executor.words_moved /. bound.Lower_bound.words in
