@@ -41,15 +41,6 @@ let experiment id title body =
   outcomes := { id; title; seconds = dt; words = List.rev !current_words } :: !outcomes;
   Printf.printf "[%s: %.3f s]\n" id dt
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-         | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 (* [s0] is the snapshot taken before any experiment ran: the obs section
    is the delta over this bench invocation, not process-lifetime totals
    (the distinction matters once bench is driven as a library or the
@@ -67,12 +58,12 @@ let write_json ~s0 path =
   List.iteri
     (fun i o ->
       if i > 0 then output_char oc ',';
-      Printf.fprintf oc "{\"experiment\":\"%s\",\"title\":\"%s\",\"seconds\":%.6f,\"words_moved\":{"
-        (json_escape o.id) (json_escape o.title) o.seconds;
+      Printf.fprintf oc "{\"experiment\":%s,\"title\":%s,\"seconds\":%.6f,\"words_moved\":{"
+        (Jsonlite.quote o.id) (Jsonlite.quote o.title) o.seconds;
       List.iteri
         (fun j (label, w) ->
           if j > 0 then output_char oc ',';
-          Printf.fprintf oc "\"%s\":%.17g" (json_escape label) w)
+          Printf.fprintf oc "%s:%.17g" (Jsonlite.quote label) w)
         o.words;
       output_string oc "}}")
     (List.rev !outcomes);
@@ -757,6 +748,38 @@ let e18 () =
 (* E19 — serve concurrency: class-aware work stealing vs coarse FIFO   *)
 (* ------------------------------------------------------------------ *)
 
+let t_fifo_analytic = Obs.timer "bench.e19.fifo_wait.analytic"
+let t_fifo_simulation = Obs.timer "bench.e19.fifo_wait.simulation"
+
+(* E19's baseline arm, the class-blind FIFO: [jobs] workers (the caller
+   plus spawned domains) claim whole requests in submit order off one
+   shared counter. Each request's wait, measured from submission, goes
+   to its class's timer, so both arms' p99 come from the same histogram
+   estimate as the pool's queue-wait timers. *)
+let fifo_sweep ~jobs reqs =
+  let reqs = Array.of_list reqs in
+  let n = Array.length reqs in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let submitted = Unix.gettimeofday () in
+  let rec worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      let timer =
+        match Pipeline.classify reqs.(i) with
+        | Pool.Analytic -> t_fifo_analytic
+        | Pool.Simulation -> t_fifo_simulation
+      in
+      Obs.add_seconds timer (Unix.gettimeofday () -. submitted);
+      results.(i) <- Some (Pipeline.run_checked reqs.(i));
+      worker ()
+    end
+  in
+  let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  List.iter Domain.join domains;
+  List.map Option.get (Array.to_list results)
+
 let e19 () =
   (* The concurrent-serve regime: slow simulation requests land just
      ahead of a burst of cheap analytic ones — the adversarial order for
@@ -764,12 +787,12 @@ let e19 () =
      the simulation work. The class-aware scheduler (per-domain
      work-stealing deques, all analytic work claimed before any
      simulation work, simulation tails split off as separate tasks) is
-     the arm under test; [~coarse:true] is the pre-split scheduler kept
-     as the ablation baseline. The gate is the analytic-class p99 queue
-     wait, enforced against the baseline by compare.exe --gate-ratio
-     (the absolute milliseconds are machine-dependent and exempt from
-     the byte-equality check — only deterministic fields and the ratio
-     are gated). *)
+     the arm under test; [fifo_sweep] above is the ablation baseline.
+     The gate is the analytic-class p99 queue wait, enforced against
+     the baseline by compare.exe --gate-ratio (the absolute
+     milliseconds are machine-dependent and exempt from the
+     byte-equality check — only deterministic fields and the ratio are
+     gated). *)
   let sim_reqs =
     List.map
       (fun (spec, m) ->
@@ -801,10 +824,10 @@ let e19 () =
   in
   let reqs = sim_reqs @ analytic_reqs in
   let jobs = 4 in
-  let run_arm ~coarse =
+  let run_arm ~wait sweep =
     Pipeline.reset_caches ();
     let s0 = Obs.snapshot () in
-    let results = Pipeline.sweep_checked ~jobs ~coarse reqs in
+    let results = sweep reqs in
     let d = Obs.diff s0 (Obs.snapshot ()) in
     let p99 name =
       match List.assoc_opt name d.Obs.stimers with
@@ -821,20 +844,23 @@ let e19 () =
           | Error e -> "error:" ^ Engine_error.code e)
         results
     in
-    (jsons, p99 "pool.queue_wait.analytic", p99 "pool.queue_wait.simulation",
-     counter "pool.steals")
+    (jsons, p99 (wait ^ ".analytic"), p99 (wait ^ ".simulation"), counter "pool.steals")
   in
-  let coarse_jsons, coarse_p99, coarse_sim_p99, _ = run_arm ~coarse:true in
-  let split_jsons, split_p99, split_sim_p99, steals = run_arm ~coarse:false in
+  let fifo_jsons, fifo_p99, fifo_sim_p99, _ =
+    run_arm ~wait:"bench.e19.fifo_wait" (fifo_sweep ~jobs)
+  in
+  let split_jsons, split_p99, split_sim_p99, steals =
+    run_arm ~wait:"pool.queue_wait" (Pipeline.sweep_checked ~jobs)
+  in
   Pipeline.reset_caches ();
-  let identical = coarse_jsons = split_jsons in
-  let ratio = coarse_p99 /. Float.max split_p99 1e-3 in
+  let identical = fifo_jsons = split_jsons in
+  let ratio = fifo_p99 /. Float.max split_p99 1e-3 in
   rowf "%d requests (%d simulation-class first, then %d analytic-class), %d jobs:\n"
     (List.length reqs) (List.length sim_reqs) (List.length analytic_reqs) jobs;
   rowf "  %-22s | %16s %16s %18s\n" "scheduler" "analytic p99" "simulation p99"
     "reports identical";
-  rowf "  %-22s | %13.3f ms %13.3f ms %18s\n" "coarse FIFO (ablation)" coarse_p99
-    coarse_sim_p99 "(reference)";
+  rowf "  %-22s | %13.3f ms %13.3f ms %18s\n" "coarse FIFO (ablation)" fifo_p99 fifo_sim_p99
+    "(reference)";
   rowf "  %-22s | %13.3f ms %13.3f ms %18s\n" "class-aware stealing" split_p99 split_sim_p99
     (if identical then "yes" else "NO");
   rowf "  analytic p99 improvement: %.1fx (steals observed: %d)\n" ratio steals;
@@ -842,7 +868,7 @@ let e19 () =
   note_int "split_identical" (if identical then 1 else 0);
   (* _ms / _ratio suffixes: machine-dependent, exempt from compare.exe's
      byte-equality; the ratio is gated separately via --gate-ratio. *)
-  note "queue_p99_coarse_ms" coarse_p99;
+  note "queue_p99_coarse_ms" fifo_p99;
   note "queue_p99_split_ms" split_p99;
   note "queue_p99_ratio" ratio;
   print_endline

@@ -58,10 +58,6 @@ let resolve_spec kernel preset =
   | None, None ->
     Error (`Usage "a kernel is required: --kernel \"<dsl>\" or --preset <name>")
 
-(* A positional kernel (profile): DSL, preset name, alias, or unique
-   preset-name prefix — shared with the serve protocol (Kernels.resolve). *)
-let resolve_named = Kernels.resolve
-
 let kernel_arg =
   let doc =
     "Kernel in the one-line DSL, e.g. \"i = 64, j = 64, k = 8 : C[i,k] += A[i,j] * B[j,k]\"."
@@ -374,16 +370,8 @@ let compile_cmd =
     Term.(
       ret (const run $ kernel_arg $ preset_arg $ all_arg $ out_arg $ metrics_arg $ trace_arg))
 
-let schedule_conv =
-  Arg.enum
-    [
-      ("optimal", Pipeline.Optimal);
-      ("classic", Pipeline.Classic);
-      ("untiled", Pipeline.Untiled);
-    ]
-
-let policy_conv =
-  Arg.enum [ ("lru", Policy.Lru); ("fifo", Policy.Fifo); ("opt", Policy.Opt) ]
+let schedule_conv = Arg.enum Pipeline.schedule_names
+let policy_conv = Arg.enum Policy.names
 
 let simulate_cmd =
   let run kernel preset m schedule policy metrics trace =
@@ -491,8 +479,8 @@ let profile_cmd =
     @@ fun () ->
     with_telemetry telemetry telemetry_interval
     @@ fun () ->
-    match resolve_named name with
-    | Error msg -> fail "%s" msg
+    match Request.spec_of_kernel name with
+    | Error e -> fail_error e
     | Ok spec -> (
       if iters < 1 then fail "need at least one iteration (--iters)"
       else
@@ -879,8 +867,8 @@ let partition_cmd =
   let run kernel procs m_local net validate jobs metrics trace =
     with_obs metrics trace
     @@ fun () ->
-    match resolve_named kernel with
-    | Error msg -> fail "%s" msg
+    match Request.spec_of_kernel kernel with
+    | Error e -> fail_error e
     | Ok spec -> (
       let net =
         match net with

@@ -9,4 +9,10 @@ type t =
           {!Trace.simulate}, which knows the whole trace. *)
 
 val to_string : t -> string
+
+val names : (string * t) list
+(** The wire and command-line names ([lru], [fifo], [opt]), in the order
+    error messages list them. The one table the CLI and the serve
+    decoder share. *)
+
 val pp : Format.formatter -> t -> unit

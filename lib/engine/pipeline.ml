@@ -5,6 +5,8 @@ type schedule_choice =
   | Permuted of int array
   | Fixed of int array
 
+let schedule_names = [ ("optimal", Optimal); ("classic", Classic); ("untiled", Untiled) ]
+
 type sim_request = { schedule : schedule_choice; policy : Policy.t; line_words : int }
 
 let sim ?(policy = Policy.Lru) ?(line_words = 1) schedule = { schedule; policy; line_words }
@@ -374,8 +376,8 @@ let run_staged ?deadline req =
 let run_checked ?deadline req =
   match run_staged ?deadline req with Pool.Done r -> r | Pool.More f -> f ()
 
-let sweep_checked ?jobs ?coarse ?deadline reqs =
-  Pool.map_staged_list ?jobs ?coarse ~classify (run_staged ?deadline) reqs
+let sweep_checked ?jobs ?deadline reqs =
+  Pool.map_staged_list ?jobs ~classify (run_staged ?deadline) reqs
 
 (* ------------------------------------------------------------------ *)
 (* Distributed-memory partitioning                                    *)
@@ -528,22 +530,9 @@ let hierarchy ?policy spec ~capacities =
 
 let snapshot_version = 1
 
-let buf_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let cache_snapshot () =
   let buf = Buffer.create 8192 in
-  let str s = buf_json_string buf s in
+  let str s = Buffer.add_string buf (Jsonlite.quote s) in
   let rat_array rs =
     Buffer.add_char buf '[';
     Array.iteri

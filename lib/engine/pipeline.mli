@@ -15,6 +15,11 @@ type schedule_choice =
   | Permuted of int array
   | Fixed of int array  (** a caller-supplied tile *)
 
+val schedule_names : (string * schedule_choice) list
+(** The wire and command-line names of the named schedules
+    ([optimal], [classic], [untiled]), in the order error messages
+    list them. The one table the CLI and the serve decoder share. *)
+
 type sim_request = {
   schedule : schedule_choice;
   policy : Policy.t;
@@ -75,17 +80,16 @@ val classify : request -> Pool.priority
     queues. *)
 
 val sweep_checked :
-  ?jobs:int -> ?coarse:bool -> ?deadline:float -> request list ->
+  ?jobs:int -> ?deadline:float -> request list ->
   (Report.t, Engine_error.t) result list
 (** {!run_staged} over the pool ({!Pool.map_staged_list} with
     {!classify}): one [result] per request, input order, failures
     isolated per element (one bad request never poisons the batch).
     Analytic requests run ahead of simulation tails however the input
     interleaves them; every report is byte-identical (under {!Report.pp})
-    to what [List.map run_checked] produces, whatever [jobs] is. [~coarse:true] uses the pre-split class-blind
-    scheduler (the bench's ablation baseline). The one [deadline]
-    applies to every request; callers needing per-request deadlines map
-    {!run_checked} over {!Pool} directly. *)
+    to what [List.map run_checked] produces, whatever [jobs] is. The
+    one [deadline] applies to every request; callers needing
+    per-request deadlines map {!run_checked} over {!Pool} directly. *)
 
 val sim_iteration_limit : int
 (** Iteration-count ceiling above which simulation requests are refused

@@ -67,7 +67,7 @@ let run_stage i g = Obs.Trace.with_span ~arg:i "pool.task" (fun () -> Obs.time t
    completed (0 when it deferred to a continuation). *)
 type task = { t_at : float; t_prio : priority; t_run : wid:int -> int }
 
-let map_staged ?jobs ?(coarse = false) ~classify f xs =
+let map_staged ?jobs ~classify f xs =
   let n = Array.length xs in
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let jobs = min jobs n in
@@ -82,14 +82,6 @@ let map_staged ?jobs ?(coarse = false) ~classify f xs =
   let exec_cont i g =
     match run_stage i g with
     | v -> finish i (Ok v)
-    | exception e -> finish i (Error (e, Printexc.get_raw_backtrace ()))
-  in
-  (* Both stages fused into one unit — the sequential path and the
-     coarse baseline schedule items exactly like the pre-split pool. *)
-  let exec_fused i =
-    match run_stage i (fun () -> f xs.(i)) with
-    | Done v -> finish i (Ok v)
-    | More g -> exec_cont i g
     | exception e -> finish i (Error (e, Printexc.get_raw_backtrace ()))
   in
   if jobs <= 1 || n <= 1 then begin
@@ -193,57 +185,26 @@ let map_staged ?jobs ?(coarse = false) ~classify f xs =
       if steals.(w) > 0 then Obs.incr ~by:steals.(w) c_steals;
       if steal_fails.(w) > 0 then Obs.incr ~by:steal_fails.(w) c_steal_fails
     in
-    let run_workers body =
-      let t0 = now () in
-      Obs.incr ~by:(jobs - 1) c_domains;
-      Obs.set_gauge g_idle jobs;
-      let domains = Array.init (jobs - 1) (fun w -> Domain.spawn (fun () -> body (w + 1))) in
-      body 0;
-      Array.iter Domain.join domains;
-      Obs.set_gauge g_idle 0;
-      let wall = now () -. t0 in
-      Obs.add_seconds t_wall wall;
-      (* Idle capacity of this map: jobs * wall minus task-execution time. *)
-      let total_busy = Array.fold_left ( +. ) 0.0 busy in
-      Obs.add_seconds t_idle (Float.max 0.0 ((float_of_int jobs *. wall) -. total_busy))
-    in
-    if coarse then begin
-      let next = Atomic.make 0 in
-      let legacy w =
-        if w > 0 && Obs.Trace.is_enabled () then
-          Obs.Trace.set_lane_name (Printf.sprintf "worker-%d" w);
-        let mine = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue := false
-          else begin
-            incr mine;
-            record_wait classes.(i) (now () -. submitted);
-            Obs.add_gauge g_idle (-1);
-            let t0 = now () in
-            ignore (exec_fused i : int);
-            busy.(w) <- busy.(w) +. (now () -. t0);
-            Obs.add_gauge g_idle 1
-          end
-        done;
-        Obs.add_seconds t_busy busy.(w);
-        Obs.record_max c_max_tasks !mine
-      in
-      run_workers legacy
-    end
-    else begin
-      (* Round-robin initial distribution, pushed before any worker
-         exists (single-threaded, so the owner-only push contract holds;
-         Domain.spawn publishes the contents). *)
-      Array.iteri
-        (fun i prio ->
-          let row = match prio with Analytic -> analytic | Simulation -> simulation in
-          Ws_deque.push row.(i mod jobs)
-            { t_at = submitted; t_prio = prio; t_run = stage1 i })
-        classes;
-      run_workers worker
-    end
+    (* Round-robin initial distribution, pushed before any worker
+       exists (single-threaded, so the owner-only push contract holds;
+       Domain.spawn publishes the contents). *)
+    Array.iteri
+      (fun i prio ->
+        let row = match prio with Analytic -> analytic | Simulation -> simulation in
+        Ws_deque.push row.(i mod jobs) { t_at = submitted; t_prio = prio; t_run = stage1 i })
+      classes;
+    let t0 = now () in
+    Obs.incr ~by:(jobs - 1) c_domains;
+    Obs.set_gauge g_idle jobs;
+    let domains = Array.init (jobs - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1))) in
+    worker 0;
+    Array.iter Domain.join domains;
+    Obs.set_gauge g_idle 0;
+    let wall = now () -. t0 in
+    Obs.add_seconds t_wall wall;
+    (* Idle capacity of this map: jobs * wall minus task-execution time. *)
+    let total_busy = Array.fold_left ( +. ) 0.0 busy in
+    Obs.add_seconds t_idle (Float.max 0.0 ((float_of_int jobs *. wall) -. total_busy))
   end;
   Array.map
     (function
@@ -252,8 +213,8 @@ let map_staged ?jobs ?(coarse = false) ~classify f xs =
       | None -> assert false)
     results
 
-let map_staged_list ?jobs ?coarse ~classify f l =
-  Array.to_list (map_staged ?jobs ?coarse ~classify f (Array.of_list l))
+let map_staged_list ?jobs ~classify f l =
+  Array.to_list (map_staged ?jobs ~classify f (Array.of_list l))
 
 let map ?jobs f xs = map_staged ?jobs ~classify:(fun _ -> Analytic) (fun x -> Done (f x)) xs
 let map_list ?jobs f l = Array.to_list (map ?jobs f (Array.of_list l))

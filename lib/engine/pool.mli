@@ -62,7 +62,6 @@ val validate_jobs : string -> int option
 
 val map_staged :
   ?jobs:int ->
-  ?coarse:bool ->
   classify:('a -> priority) ->
   ('a -> 'b staged) ->
   'a array ->
@@ -71,16 +70,11 @@ val map_staged :
     [jobs] concurrent workers; a [More] thunk returned by [f] is
     scheduled as a separate [Simulation]-class task. Results keep input
     order. If any stage raises, the first (lowest-index) exception is
-    re-raised after all domains have joined.
-
-    [~coarse:true] swaps the scheduler for the pre-split baseline — a
-    shared claim counter handing out whole fused items in submit order,
-    class-blind — and exists so the bench can measure the deque
-    scheduler against it; it computes the same results. *)
+    re-raised after all domains have joined. Bench E19 measures this
+    scheduler against a class-blind FIFO it builds itself. *)
 
 val map_staged_list :
   ?jobs:int ->
-  ?coarse:bool ->
   classify:('a -> priority) ->
   ('a -> 'b staged) ->
   'a list ->

@@ -188,6 +188,26 @@ let of_file path =
   | exception Sys_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
+(* Writing                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let quote s =
+  let buf = Buffer.create (String.length s + 8) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 

@@ -1,10 +1,12 @@
 (** Minimal dependency-free JSON: a value type, a strict recursive-descent
-    parser, and a few accessors.
+    parser, a few accessors, and the one string writer every JSON
+    emitter in the repo shares ({!quote}).
 
-    Exists because the repo's machine-readable outputs (the ["obs"]
-    sections, [BENCH_engine.json], Chrome trace files) need to be read
-    back by [bench/compare] and by tests, and the toolchain has no JSON
-    library installed. Numbers are floats (sufficient for our writers),
+    Exists because the repo's machine-readable outputs (reports, serve
+    responses, plans, the ["obs"] sections, [BENCH_engine.json], Chrome
+    trace files) are written by hand and need to be read back by
+    [bench/compare] and by tests, and the toolchain has no JSON library
+    installed. Numbers are floats (sufficient for our writers),
     [\uXXXX] escapes decode to UTF-8, surrogate pairs are not combined. *)
 
 type t =
@@ -25,6 +27,13 @@ val parse_exn : string -> t
 (** @raise Parse_error on malformed input. *)
 
 val of_file : string -> (t, string) result
+
+val quote : string -> string
+(** [quote s] is [s] as a JSON string literal, quotes included: ["\""]
+    and ["\\"] are backslash-escaped, newline and tab become [\n] and
+    [\t], every other byte below [0x20] becomes [\u00XX], and every
+    other byte (DEL and UTF-8 included) passes through raw. {!parse}
+    reads the result back to [s]. *)
 
 (** {1 Accessors} — all total, [None] on shape mismatch. *)
 

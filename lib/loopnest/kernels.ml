@@ -150,10 +150,3 @@ let lookup name =
       Error
         (Printf.sprintf "ambiguous kernel %S (matches: %s)" name
            (String.concat ", " (List.map fst multiple))))
-
-let resolve name =
-  if String.contains name ':' then
-    match Parser.parse_string name with
-    | Ok s -> Ok s
-    | Error msg -> Error (Printf.sprintf "cannot parse kernel: %s" msg)
-  else lookup name

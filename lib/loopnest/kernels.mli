@@ -55,8 +55,11 @@ val all : unit -> (string * Spec.t) list
 
 (** {1 Name resolution}
 
-    Shared by the CLI's positional-kernel arguments and the serve
-    daemon's wire protocol, so both accept exactly the same spellings. *)
+    {!lookup} resolves names; [Request.spec_of_kernel] adds the DSL
+    spelling and the typed errors, and is what the serve daemon's wire
+    protocol and the CLI's by-name kernel arguments ([profile],
+    [partition]) call, so every surface accepts exactly the same
+    spellings. *)
 
 val aliases : (string * string) list
 (** Shorthand -> preset name: [mm], [mv], [conv], [fc], [bmm]. *)
@@ -64,8 +67,3 @@ val aliases : (string * string) list
 val lookup : string -> (Spec.t, string) result
 (** Resolve a preset name, an alias, or a unique preset-name prefix
     against {!all}. The error message lists the candidates. *)
-
-val resolve : string -> (Spec.t, string) result
-(** Resolve a kernel in any accepted spelling: text containing [':'] is
-    parsed as the DSL ({!Parser.parse_string}), anything else goes
-    through {!lookup}. *)

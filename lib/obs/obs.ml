@@ -397,19 +397,6 @@ module Trace = struct
     Mutex.unlock rings_lock;
     List.sort compare (List.filter_map (fun r -> if r.widx > 0 then Some (r.rtid, r.rname) else None) rs)
 
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | c when Char.code c < 0x20 || Char.code c = 0x7f ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
   (* Chrome trace-event JSON (the chrome://tracing / Perfetto format):
      one "M" thread_name metadata record per lane, then every span as a
      complete "X" event sorted by start time, timestamps in microseconds
@@ -428,8 +415,8 @@ module Trace = struct
       (fun (tid, name) ->
         emit
           (Printf.sprintf
-             "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-             tid (json_escape name)))
+             "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}"
+             tid (Jsonlite.quote name)))
       (lanes ());
     List.iter
       (fun e ->
@@ -442,8 +429,8 @@ module Trace = struct
         in
         emit
           (Printf.sprintf
-             "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"name\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,\"args\":%s}"
-             e.tid (json_escape e.ename) ts_us dur_us args))
+             "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"name\":%s,\"ts\":%.3f,\"dur\":%.3f,\"args\":%s}"
+             e.tid (Jsonlite.quote e.ename) ts_us dur_us args))
       evs;
     Buffer.add_string buf "]}";
     Buffer.contents buf
@@ -631,8 +618,6 @@ let pp fmt s =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape = Trace.json_escape
-
 let json_of_dist d =
   Printf.sprintf
     "\"mean_s\":%.9f,\"p50_s\":%.9f,\"p90_s\":%.9f,\"p99_s\":%.9f,\"max_s\":%.9f"
@@ -648,14 +633,14 @@ let to_json s =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape name) v))
+      Buffer.add_string buf (Printf.sprintf "%s:%d" (Jsonlite.quote name) v))
     s.scounters;
   Buffer.add_string buf "},\"gauges\":{";
   List.iteri
     (fun i (name, g) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"value\":%d,\"min\":%d,\"max\":%d}" (json_escape name)
+        (Printf.sprintf "%s:{\"value\":%d,\"min\":%d,\"max\":%d}" (Jsonlite.quote name)
            g.gvalue g.gmin g.gmax))
     s.sgauges;
   Buffer.add_string buf "},\"timers\":{";
@@ -663,7 +648,7 @@ let to_json s =
     (fun i (name, t) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"calls\":%d,\"seconds\":%.6f,%s}" (json_escape name)
+        (Printf.sprintf "%s:{\"calls\":%d,\"seconds\":%.6f,%s}" (Jsonlite.quote name)
            t.tcalls t.tseconds (json_of_dist t.tdist)))
     s.stimers;
   Buffer.add_string buf "},\"histograms\":{";
@@ -671,7 +656,7 @@ let to_json s =
     (fun i (name, d) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"count\":%d,%s}" (json_escape name) d.dcount
+        (Printf.sprintf "%s:{\"count\":%d,%s}" (Jsonlite.quote name) d.dcount
            (json_of_dist d)))
     s.shists;
   Buffer.add_string buf "}}";
@@ -773,14 +758,11 @@ module Log = struct
     Fun.protect ~finally:(fun () -> slot := saved) f
 
   let add_field buf (k, v) =
-    Buffer.add_string buf ",\"";
-    Buffer.add_string buf (json_escape k);
-    Buffer.add_string buf "\":";
+    Buffer.add_char buf ',';
+    Buffer.add_string buf (Jsonlite.quote k);
+    Buffer.add_char buf ':';
     match v with
-    | `S s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape s);
-      Buffer.add_char buf '"'
+    | `S s -> Buffer.add_string buf (Jsonlite.quote s)
     | `I i -> Buffer.add_string buf (string_of_int i)
     | `F f ->
       (* %g would lose precision on big counters; %.6f covers ms-resolution
@@ -790,13 +772,12 @@ module Log = struct
 
   let format_line ~ts ~level ~event ~corr fields =
     let buf = Buffer.create 128 in
-    Buffer.add_string buf (Printf.sprintf "{\"ts\":%.6f,\"level\":\"%s\",\"event\":\"%s\"" ts
-       (level_name level) (json_escape event));
+    Buffer.add_string buf (Printf.sprintf "{\"ts\":%.6f,\"level\":\"%s\",\"event\":%s" ts
+       (level_name level) (Jsonlite.quote event));
     (match corr with
     | Some id ->
-      Buffer.add_string buf ",\"corr\":\"";
-      Buffer.add_string buf (json_escape id);
-      Buffer.add_char buf '"'
+      Buffer.add_string buf ",\"corr\":";
+      Buffer.add_string buf (Jsonlite.quote id)
     | None -> ());
     List.iter (add_field buf) fields;
     Buffer.add_char buf '}';

@@ -307,22 +307,9 @@ let dual t (spec : Spec.t) ~beta =
 (* JSON                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "{\"shape\":\"%s\",\"d\":%d," (json_escape t.key) t.d);
+  Buffer.add_string buf (Printf.sprintf "{\"shape\":%s,\"d\":%d," (Jsonlite.quote t.key) t.d);
   Buffer.add_string buf "\"supports\":[";
   Array.iteri
     (fun j sup ->

@@ -80,26 +80,37 @@ let decode_net json =
          (Engine_error.Network_model_invalid
             "\"net\" must be \"words\" or an {\"alpha\",\"beta\"} object"))
 
+(* A list field of wire names, each looked up in its table. *)
+let named_list json field table ~what ~default =
+  List.map
+    (fun s ->
+      match List.assoc_opt s table with
+      | Some x -> x
+      | None -> reject "unknown %s %S (%s)" what s (String.concat ", " (List.map fst table)))
+    (string_list json field ~default)
+
 let decode_sims json =
   let schedules =
-    List.map
-      (fun s ->
-        match schedule_of_string s with
-        | Some sched -> sched
-        | None -> reject "unknown schedule %S (optimal, classic, untiled)" s)
-      (string_list json "schedules" ~default:[])
+    named_list json "schedules" Pipeline.schedule_names ~what:"schedule" ~default:[]
   in
-  let policies =
-    List.map
-      (fun s ->
-        match policy_of_string s with
-        | Some p -> p
-        | None -> reject "unknown policy %S (lru, fifo, opt)" s)
-      (string_list json "policies" ~default:[ "lru" ])
-  in
+  let policies = named_list json "policies" Policy.names ~what:"policy" ~default:[ "lru" ] in
   List.concat_map
     (fun sched -> List.map (fun policy -> Pipeline.sim ~policy sched) policies)
     schedules
+
+let spec_of_kernel text =
+  if String.contains text ':' then
+    match Parser.parse text with
+    | Ok s -> Ok s
+    | Error e ->
+      Error
+        (Engine_error.Parse_error
+           {
+             line = e.Parser.pos.Parser.line;
+             col = e.Parser.pos.Parser.col;
+             message = e.Parser.message;
+           })
+  else Result.map_error (fun msg -> Engine_error.Invalid_spec msg) (Kernels.lookup text)
 
 let decode line =
   match Jsonlite.parse line with
@@ -125,23 +136,8 @@ let decode line =
       let spec =
         match Jsonlite.str_member "kernel" json with
         | None -> reject "\"kernel\" is required (preset name or DSL)"
-        | Some text ->
-          if String.contains text ':' then (
-            match Parser.parse text with
-            | Ok s -> s
-            | Error e ->
-              raise
-                (Reject
-                   (Engine_error.Parse_error
-                      {
-                        line = e.Parser.pos.Parser.line;
-                        col = e.Parser.pos.Parser.col;
-                        message = e.Parser.message;
-                      })))
-          else (
-            match Kernels.lookup text with
-            | Ok s -> s
-            | Error msg -> raise (Reject (Engine_error.Invalid_spec msg)))
+        | Some text -> (
+          match spec_of_kernel text with Ok s -> s | Error e -> raise (Reject e))
       in
       (* v1 compatibility: a missing "op" means "analyze" (the only
          request kind v1 originally had) and earns a structured

@@ -73,6 +73,14 @@ type decode_error = {
   err : Engine_error.t;
 }
 
+val spec_of_kernel : string -> (Spec.t, Engine_error.t) result
+(** Resolve a ["kernel"] value in any accepted spelling, as every
+    surface that takes a kernel by name does (the wire field, and the
+    CLI's [profile] and [partition]): text containing [':'] is parsed as
+    the DSL ([Parse_error] with its line/column on failure), anything
+    else is a preset name, alias or unique prefix ({!Kernels.lookup};
+    [Invalid_spec] naming the candidates on failure). *)
+
 val decode : string -> (t, decode_error) result
 (** Decode one request line. Malformed JSON -> [Parse_error]; a
     non-object or missing/ill-typed field -> [Invalid_request]; an

@@ -2,22 +2,7 @@
 (* JSON writing (mirrors Report's conventions)                        *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
+let jstr = Jsonlite.quote
 let jid = function None -> "null" | Some s -> jstr s
 
 (* Structured, non-fatal decode diagnostics. A v1 client that omits an
@@ -76,23 +61,6 @@ let error_response ~v ~id err =
 (* ------------------------------------------------------------------ *)
 (* Shared decoding helpers (used by Request.decode)                   *)
 (* ------------------------------------------------------------------ *)
-
-let peek_id line =
-  match Jsonlite.parse line with
-  | Ok json -> Jsonlite.str_member "id" json
-  | Error _ -> None
-
-let schedule_of_string = function
-  | "optimal" -> Some Pipeline.Optimal
-  | "classic" -> Some Pipeline.Classic
-  | "untiled" -> Some Pipeline.Untiled
-  | _ -> None
-
-let policy_of_string = function
-  | "lru" -> Some Policy.Lru
-  | "fifo" -> Some Policy.Fifo
-  | "opt" -> Some Policy.Opt
-  | _ -> None
 
 exception Reject of Engine_error.t
 

@@ -62,21 +62,13 @@ val partition_response :
 
 val error_response : v:int -> id:string option -> Engine_error.t -> string
 
-val peek_id : string -> string option
-(** Best-effort ["id"] extraction from a raw line (used for [overloaded]
-    rejections, which are answered without full decoding). *)
-
 (** {1 Decode helpers}
 
     Building blocks for {!Request.decode}; exposed because the decoder
     lives in its own module and the tests exercise them directly. *)
 
-val json_escape : string -> string
 val jstr : string -> string
 val jid : string option -> string
-
-val schedule_of_string : string -> Pipeline.schedule_choice option
-val policy_of_string : string -> Policy.t option
 
 exception Reject of Engine_error.t
 (** Internal control flow of the decoder; never escapes

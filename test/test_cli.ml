@@ -660,6 +660,14 @@ let test_typed_refusals () =
     ~code:"cache_too_small";
   check_typed "profile cache too small" "profile mm -m 1 --iters 1" ~exit:4
     ~code:"cache_too_small";
+  (* a kernel given by name resolves with the serve decoder's typed
+     errors: unknown name -> invalid_spec, malformed DSL -> parse_error *)
+  check_typed "partition unknown kernel" "partition -k nonesuch -p 4" ~exit:3
+    ~code:"invalid_spec";
+  check_typed "partition bad dsl" "partition -k 'i=4 : A[i] +=' -p 4" ~exit:2
+    ~code:"parse_error";
+  check_typed "profile unknown kernel" "profile nonesuch" ~exit:3 ~code:"invalid_spec";
+  check_typed "profile bad dsl" "profile 'i=4 : A[i] +='" ~exit:2 ~code:"parse_error";
   check_ok "codegen --untiled ignores -m" "codegen -p matmul -m 2 --untiled" [ "untiled" ];
   (* a malformed --levels list is command-line misuse, not a typed error *)
   let code, out = run "hierarchy -p matmul --levels 512,64" in

@@ -193,8 +193,8 @@ let test_pool_validate_jobs () =
 let test_pool_staged_values_and_order () =
   (* A mixed workload: every third task carries a second stage (the
      simulation-tail shape). Values and order must match the plain map
-     whatever the scheduler does, on the split scheduler, the coarse
-     ablation arm, and the sequential path. *)
+     whatever the scheduler does, on the split scheduler and the
+     sequential path. *)
   let xs = List.init 50 Fun.id in
   let classify i = if i mod 3 = 0 then Pool.Simulation else Pool.Analytic in
   let f i =
@@ -203,8 +203,6 @@ let test_pool_staged_values_and_order () =
   let expect = List.map (fun i -> if i mod 3 = 0 then (i * 10) + 1 else i * 10) xs in
   Alcotest.(check (list int)) "split scheduler" expect
     (Pool.map_staged_list ~jobs:4 ~classify f xs);
-  Alcotest.(check (list int)) "coarse ablation arm" expect
-    (Pool.map_staged_list ~jobs:4 ~coarse:true ~classify f xs);
   Alcotest.(check (list int)) "sequential path" expect
     (Pool.map_staged_list ~jobs:1 ~classify f xs)
 

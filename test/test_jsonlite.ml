@@ -38,7 +38,12 @@ let test_escapes () =
   Alcotest.check json "controls" (Str "\n\t\r\b\012/") (ok {|"\n\t\r\b\f\/"|});
   Alcotest.check json "unicode ascii" (Str "A") (ok {|"A"|});
   Alcotest.check json "unicode 2-byte" (Str "\xc3\xa9") (ok {|"é"|});
-  Alcotest.check json "unicode 3-byte" (Str "\xe2\x82\xac") (ok {|"€"|})
+  Alcotest.check json "unicode 3-byte" (Str "\xe2\x82\xac") (ok {|"€"|});
+  (* The one writer's wire bytes, pinned, and their round trip. *)
+  let raw = "q\"b\\n\nt\tc\001d\127u\xc3\xa9" in
+  Alcotest.(check string) "quote wire bytes" "\"q\\\"b\\\\n\\nt\\tc\\u0001d\127u\xc3\xa9\""
+    (Jsonlite.quote raw);
+  Alcotest.check json "quote round trip" (Str raw) (ok (Jsonlite.quote raw))
 
 let test_containers () =
   Alcotest.check json "empty array" (Arr []) (ok "[]");

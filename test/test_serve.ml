@@ -188,11 +188,6 @@ let test_decode_partition_op () =
     {|{"op":"partition","kernel":"matmul","p":8,"m":64,"net":7}|} (fun _ err ->
       Alcotest.(check string) "code" "network_model_invalid" (Engine_error.code err))
 
-let test_peek_id () =
-  Alcotest.(check (option string)) "valid" (Some "a")
-    (Serve_protocol.peek_id {|{"id":"a","kernel":"nosuch","m":1}|});
-  Alcotest.(check (option string)) "malformed" None (Serve_protocol.peek_id "garbage")
-
 let test_response_shapes () =
   let ok = Serve_protocol.ok_response ~v:1 ~id:(Some "a") ~report_json:{|{"x":1}|} () in
   Alcotest.(check string) "ok line" {|{"v":1,"id":"a","ok":true,"report":{"x":1}}|} ok;
@@ -711,7 +706,6 @@ let () =
           Alcotest.test_case "decode compile op" `Quick test_decode_compile_op;
           Alcotest.test_case "decode sweep op" `Quick test_decode_sweep_op;
           Alcotest.test_case "decode partition op" `Quick test_decode_partition_op;
-          Alcotest.test_case "peek id" `Quick test_peek_id;
           Alcotest.test_case "response shapes" `Quick test_response_shapes;
         ] );
       ( "checked",
