@@ -340,12 +340,26 @@ let too_large spec =
          { iterations = Bigint.to_string n; limit = sim_iteration_limit })
   else None
 
+(* OPT materializes the whole trace before simulating it, so its ceiling
+   is on accesses, stated as the iterations that fit in them. *)
+let opt_too_large spec =
+  let limit = Executor.opt_trace_limit / Executor.accesses_per_point spec in
+  let n = Spec.iteration_count_big spec in
+  if Bigint.compare n (Bigint.of_int limit) > 0 then
+    Some (Engine_error.Kernel_too_large { iterations = Bigint.to_string n; limit })
+  else None
+
 let validate req =
   let spec = req.rspec and m = req.rm in
   let min_words = max 2 (Spec.num_arrays spec) in
   if m < min_words then Some (Engine_error.Cache_too_small { m; min_words })
-  else if req.rsims <> [] then too_large spec
-  else None
+  else if req.rsims = [] then None
+  else
+    match too_large spec with
+    | Some _ as e -> e
+    | None ->
+      if List.exists (fun s -> s.policy = Policy.Opt) req.rsims then opt_too_large spec
+      else None
 
 let catch_errors f =
   match f () with

@@ -49,7 +49,9 @@ val run_checked :
     Up-front validation: [Error Cache_too_small] when [m] is below
     [max 2 (num_arrays)] (the bound needs 2 words, the tile one word per
     array), [Error Kernel_too_large] when a simulation is requested and
-    the exact iteration count exceeds {!sim_iteration_limit}. Stage
+    the exact iteration count exceeds {!sim_iteration_limit} — or, for
+    an [Opt] simulation, [Executor.opt_trace_limit / accesses per point]
+    (OPT materializes its whole trace). Stage
     failures ([Invalid_argument]/[Failure] from the analysis stack) come
     back as [Error Invalid_spec]/[Error Internal]; asynchronous
     exceptions still propagate.

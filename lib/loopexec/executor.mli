@@ -8,7 +8,35 @@
 
     This is the empirical side of the reproduction: measured
     [words_moved] for the schedule built by {!Tiling.optimal} is compared
-    against the lower bound of {!Pipeline.lower_bound} in the benchmarks. *)
+    against the lower bound of {!Pipeline.lower_bound} in the benchmarks.
+
+    {b The row walker.} One traversal serves {!run}, {!run_hierarchy}
+    and {!trace_of}. In the projective case array [j]'s address is
+    [base_j + sum_i stride_j.(i) * x_i] ({!Layout.strides}), so along a
+    row of {!Schedules.iterate_rows} every array moves by a constant
+    step, [0] when the innermost loop is outside its support. Each row
+    computes every array's start address once and then runs a counted
+    loop adding the steps; strictly consecutive touches of one line merge
+    into a {!Cache.access_run} / {!Hierarchy.access_run} call
+    ([cachesim.batched_runs]).
+
+    {b Elision (LRU only).} With [C] first-level lines, [n] arrays and
+    [v >= 1] of them varying along the row, and [C >= 2n]: the row's
+    first and last points and every [K]-th point, [K = 1 + (C - 2n) / v],
+    touch every array; the other points touch only the varying arrays,
+    and each invariant array's skipped touches are added to the [count]
+    of its next touch ([executor.elided_touches] counts them). The
+    statistics are exactly those of the per-point replay: between two
+    full points an invariant line has at most
+    [(n - 1) + v (K - 1) + (n - 1) <= C - 2] other lines above it in the
+    LRU stack, so it stays resident and every skipped touch is a hit;
+    skipping a touch does not reorder the other lines, so with the
+    invariant lines pinned the cache holds the same lines, and every
+    hit, miss and victim is unchanged; the line is already dirty from
+    the row's first point; and the last point is full, so the recency
+    order at the row's end is the unelided one. FIFO and OPT never
+    elide, and levels below an LRU first level see only its misses and
+    dirty evictions, which are unchanged. *)
 
 type result = {
   schedule : Schedules.t;
@@ -26,10 +54,16 @@ val run :
   capacity:int ->
   result
 (** Default policy is [Lru]. [Opt] materializes the whole trace first;
-    {!trace_length} words of memory are needed, and the call refuses
-    traces above [10^8] accesses.
+    {!trace_length} accesses of memory are needed, and the call refuses
+    traces above {!opt_trace_limit} accesses.
     @raise Invalid_argument on an invalid schedule or oversized OPT
     trace. *)
+
+val opt_trace_limit : int
+(** [2^22]: the longest trace an [Opt] simulation materializes. A
+    materialized access costs tens of bytes, so this caps one OPT run at
+    a few hundred megabytes. {!Pipeline} refuses requests above it before
+    any work starts. *)
 
 type hierarchy_result = {
   hschedule : Schedules.t;
@@ -50,6 +84,10 @@ val run_hierarchy :
 (** Execute against a {!Hierarchy} of caches (fastest first). Use with
     {!Schedules.Nested} tiles from {!Tiling.nested} to check multi-level
     attainment. Final flush cascades through all levels. *)
+
+val accesses_per_point : Spec.t -> int
+(** Word accesses per iteration point: one per [Read] or [Write] array,
+    two per [Update] array. *)
 
 val trace_length : Spec.t -> int
 (** Number of word accesses one full execution generates:

@@ -37,6 +37,17 @@ let address t j point =
   done;
   t.bases.(j) + !acc
 
+let strides t j =
+  let sup = t.spec.Spec.arrays.(j).Spec.support in
+  let dims = t.dims.(j) in
+  let s = Array.make (Spec.num_loops t.spec) 0 in
+  let w = ref 1 in
+  for k = Array.length sup - 1 downto 0 do
+    s.(sup.(k)) <- !w;
+    w := !w * dims.(k)
+  done;
+  s
+
 let array_of_address t addr =
   if addr < 0 || addr >= t.total then None
   else begin

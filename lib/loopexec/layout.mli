@@ -23,6 +23,12 @@ val address : t -> int -> int array -> int
 val address_of_index : t -> int -> int array -> int
 (** Same, but from the array's own (projected) index vector. *)
 
+val strides : t -> int -> int array
+(** [strides t j] has one entry per loop: the address step of array [j]
+    when that loop's index grows by one, [0] for loops outside the
+    array's support. [address t j point] is
+    [base t j + sum_i (strides t j).(i) * point.(i)]. *)
+
 val array_of_address : t -> int -> (int * int array) option
 (** Reverse mapping (array id, projected index); [None] if out of range.
     Intended for debugging and tests. *)

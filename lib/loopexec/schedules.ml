@@ -62,7 +62,9 @@ let validate spec = function
     in
     check None tiles
 
-let iterate spec sched f =
+(* One traversal of the tiling levels for every consumer: rows are the
+   unit, and [iterate] only unrolls each row into its points. *)
+let iterate_rows spec sched f =
   (match validate spec sched with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Schedules.iterate: " ^ msg));
@@ -72,8 +74,12 @@ let iterate spec sched f =
   match sched with
   | Untiled | Permuted _ ->
     let order = match sched with Permuted p -> p | _ -> Array.init d (fun i -> i) in
+    let inner = order.(d - 1) in
     let rec go k =
-      if k = d then f point
+      if k = d - 1 then begin
+        point.(inner) <- 0;
+        f point inner 0 bounds.(inner)
+      end
       else begin
         let i = order.(k) in
         for v = 0 to bounds.(i) - 1 do
@@ -92,19 +98,23 @@ let iterate spec sched f =
       | Untiled | Permuted _ -> assert false
     in
     (* Iterate blocks of [tile] inside the box [lo, hi), recursing into
-       the remaining levels within each block. *)
+       the remaining levels within each block; inside the innermost
+       block, hand over one row of the last loop at a time. *)
     let rec walk levels lo hi =
       match levels with
       | [] ->
-        let rec points i =
-          if i = d then f point
+        let rec rows i =
+          if i = d - 1 then begin
+            point.(i) <- lo.(i);
+            f point i lo.(i) hi.(i)
+          end
           else
             for v = lo.(i) to hi.(i) - 1 do
               point.(i) <- v;
-              points (i + 1)
+              rows (i + 1)
             done
         in
-        points 0
+        rows 0
       | tile :: rest ->
         let block_lo = Array.copy lo and block_hi = Array.copy hi in
         let rec blocks i =
@@ -122,6 +132,13 @@ let iterate spec sched f =
         blocks 0
     in
     walk levels (Array.make d 0) (Array.copy bounds)
+
+let iterate spec sched f =
+  iterate_rows spec sched (fun point inner lo hi ->
+    for v = lo to hi - 1 do
+      point.(inner) <- v;
+      f point
+    done)
 
 let description spec = function
   | Untiled -> "untiled (lexicographic)"

@@ -34,9 +34,24 @@ val validate : Spec.t -> t -> (unit, string) result
     every tile dimension lies in [[1, L_i]], and nested levels are
     elementwise monotone (inner <= outer). *)
 
+val iterate_rows : Spec.t -> t -> (int array -> int -> int -> int -> unit) -> unit
+(** [iterate_rows spec sched (fun point inner lo hi -> ...)] visits every
+    innermost row in schedule order: the points [point] with
+    [point.(inner)] running over [[lo, hi)], all other coordinates fixed.
+    [inner] is the schedule's innermost loop — the last loop, or the last
+    entry of a [Permuted] order — and a row spans that loop's bound
+    ([Untiled], [Permuted]) or the innermost tile's extent along it
+    ([Tiled], [Nested]); rows are never empty. [point.(inner) = lo] on
+    entry; the callback may overwrite [point.(inner)] but no other
+    coordinate. The array is reused across rows. This is the executor's
+    traversal: it turns each row into per-array strided address runs
+    instead of one callback per point.
+    @raise Invalid_argument if {!validate} fails. *)
+
 val iterate : Spec.t -> t -> (int array -> unit) -> unit
-(** Visit every iteration point exactly once in schedule order. The point
-    array passed to the callback is reused; copy it if you keep it.
+(** Visit every iteration point exactly once in schedule order: each row
+    of {!iterate_rows}, point by point. The point array passed to the
+    callback is reused; copy it if you keep it.
     @raise Invalid_argument if {!validate} fails. *)
 
 val description : Spec.t -> t -> string

@@ -656,6 +656,10 @@ let test_typed_refusals () =
     ~code:"kernel_too_large";
   check_typed "simulate too large" (Printf.sprintf "simulate -k %s" big) ~exit:5
     ~code:"kernel_too_large";
+  (* OPT materializes its trace: refused above 2^22 accesses *)
+  check_typed "simulate opt trace too large"
+    "simulate -k 'i = 150, j = 150, k = 150 : C[i,k] += A[i,j] * B[j,k]' --policy opt"
+    ~exit:5 ~code:"kernel_too_large";
   check_typed "codegen cache too small" "codegen -p matmul -m 2" ~exit:4
     ~code:"cache_too_small";
   check_typed "profile cache too small" "profile mm -m 1 --iters 1" ~exit:4

@@ -367,6 +367,60 @@ let test_hierarchy_execution_stats_shape () =
      && r.Executor.boundary_words.(1) >= r.Executor.boundary_words.(2))
 
 (* ------------------------------------------------------------------ *)
+(* The strided row walker against a per-point reference               *)
+(* ------------------------------------------------------------------ *)
+
+(* The executor's access order written out point by point: at every
+   point of [Schedules.iterate], every array in spec order at
+   [Layout.address], an Update as a read then a write. *)
+let reference_trace spec sched =
+  let layout = Layout.make spec in
+  let acc = ref [] in
+  Schedules.iterate spec sched (fun point ->
+    Array.iteri
+      (fun j (a : Spec.array_ref) ->
+        let addr = Layout.address layout j point in
+        match a.Spec.mode with
+        | Spec.Read -> acc := Trace.read addr :: !acc
+        | Spec.Write -> acc := Trace.write addr :: !acc
+        | Spec.Update -> acc := Trace.write addr :: Trace.read addr :: !acc)
+      spec.Spec.arrays);
+  Array.of_list (List.rev !acc)
+
+let elided_touches () = Obs.value (Obs.counter "executor.elided_touches")
+
+let elided_by f =
+  let before = elided_touches () in
+  let r = f () in
+  (r, elided_touches () - before)
+
+let test_elision_fires_for_lru () =
+  (* Untiled matmul: C(i,j) is invariant along the innermost k row. *)
+  let spec = Kernels.matmul ~l1:6 ~l2:6 ~l3:24 in
+  let sched = Schedules.Untiled and capacity = 64 in
+  let r, elided = elided_by (fun () -> Executor.run spec ~schedule:sched ~capacity) in
+  Alcotest.(check bool) (Printf.sprintf "elided %d > 0" elided) true (elided > 0);
+  let reference =
+    Trace.simulate ~policy:Policy.Lru ~capacity (reference_trace spec sched)
+  in
+  Alcotest.(check bool) "stats equal the per-point reference" true
+    (r.Executor.stats = reference)
+
+let test_elision_never_for_fifo_or_small_caches () =
+  let spec = Kernels.matmul ~l1:6 ~l2:6 ~l3:24 in
+  let none label f =
+    let _, elided = elided_by f in
+    Alcotest.(check int) label 0 elided
+  in
+  none "fifo" (fun () ->
+    Executor.run ~policy:Policy.Fifo spec ~schedule:Schedules.Untiled ~capacity:64);
+  (* 5 lines < 2n = 6: no period is safe. *)
+  none "below 2n lines" (fun () -> Executor.run spec ~schedule:Schedules.Untiled ~capacity:5);
+  none "fifo hierarchy" (fun () ->
+    Executor.run_hierarchy ~policy:Policy.Fifo spec ~schedule:Schedules.Untiled
+      ~capacities:[| 64; 512 |])
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -415,6 +469,79 @@ let arb_spec_sched =
       gen_small_spec >>= fun s ->
       oneof [ return Schedules.Untiled; map (fun t -> Schedules.Tiled t) (gen_tile s) ]
       >>= fun sched -> return (s, sched))
+
+(* Specs over d, n in 1..4 with every access mode and arbitrary
+   supports (scalars included), bounds up to 4 so rows of length 1 and 2
+   are common, under all four schedule kinds. *)
+let gen_walker_case =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun d ->
+    array_size (return d) (int_range 1 4) >>= fun bounds ->
+    int_range 1 4 >>= fun n ->
+    array_size (return n) (pair (int_bound ((1 lsl d) - 1)) (oneofl Spec.[ Read; Write; Update ]))
+    >>= fun raw ->
+    let used = Array.fold_left (fun acc (mask, _) -> acc lor mask) 0 raw in
+    let arrays =
+      Array.mapi
+        (fun j (mask, mode) ->
+          let mask = if j = 0 then mask lor ((1 lsl d) - 1 - used) else mask in
+          Spec.array_ref ~mode (Printf.sprintf "A%d" j)
+            (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init d Fun.id)))
+        raw
+    in
+    let spec =
+      Spec.create_exn ~name:"walk" ~loops:(Array.init d (Printf.sprintf "x%d")) ~bounds ~arrays
+    in
+    let tile = array_size (return d) (int_range 1 4) >|= Array.mapi (fun i v -> 1 + (v mod bounds.(i))) in
+    oneof
+      [
+        return Schedules.Untiled;
+        shuffle_l (List.init d Fun.id) >|= (fun p -> Schedules.Permuted (Array.of_list p));
+        tile >|= (fun b -> Schedules.Tiled b);
+        pair tile tile >|= (fun (a, b) -> Schedules.Nested [ Array.map2 min a b; Array.map2 max a b ]);
+      ]
+    >>= fun sched ->
+    int_range 1 4 >>= fun line_words ->
+    (* lines on both sides of the 2n elision threshold *)
+    oneof [ int_range 1 24; int_range (-2) 2 >|= fun dl -> max 1 ((2 * n) + dl) ] >>= fun lines ->
+    int_bound (line_words - 1) >>= fun spare ->
+    return (spec, sched, line_words, (lines * line_words) + spare))
+
+let print_walker_case (spec, sched, line_words, capacity) =
+  Format.asprintf "%a / %s / line_words %d / capacity %d" Spec.pp spec
+    (Schedules.description spec sched) line_words capacity
+
+let arb_walker_case = QCheck.make ~print:print_walker_case gen_walker_case
+
+let walker_props =
+  [
+    QCheck.Test.make ~name:"row walker = per-point reference trace (LRU, FIFO)" ~count:1000
+      arb_walker_case (fun (spec, sched, line_words, capacity) ->
+        let trace = reference_trace spec sched in
+        List.for_all
+          (fun policy ->
+            (Executor.run ~line_words ~policy spec ~schedule:sched ~capacity).Executor.stats
+            = Trace.simulate ~line_words ~policy ~capacity trace)
+          [ Policy.Lru; Policy.Fifo ]);
+    QCheck.Test.make ~name:"trace_of = per-point reference trace" ~count:300 arb_walker_case
+      (fun (spec, sched, _, _) ->
+        Executor.trace_of spec ~schedule:sched = reference_trace spec sched);
+    QCheck.Test.make ~name:"run_hierarchy = word-by-word Hierarchy.access replay" ~count:600
+      (QCheck.pair arb_walker_case (QCheck.int_range 1 64))
+      (fun ((spec, sched, line_words, capacity), extra) ->
+        let capacities = [| capacity; capacity + (extra * line_words) |] in
+        List.for_all
+          (fun policy ->
+            let h = Hierarchy.create ~line_words ~policy ~capacities () in
+            Array.iter
+              (fun (a : Trace.access) -> Hierarchy.access h ~write:a.Trace.write a.Trace.addr)
+              (reference_trace spec sched);
+            Hierarchy.flush h;
+            let r = Executor.run_hierarchy ~line_words ~policy spec ~schedule:sched ~capacities in
+            r.Executor.hstats = Hierarchy.stats h
+            && r.Executor.boundary_words = Hierarchy.traffic h)
+          [ Policy.Lru; Policy.Fifo ]);
+  ]
 
 let props =
   [
@@ -468,6 +595,13 @@ let () =
           Alcotest.test_case "matvec traffic" `Quick test_matvec_traffic_near_matrix_size;
           Alcotest.test_case "OPT policy" `Quick test_opt_policy_via_executor;
         ] );
+      ( "row-walker",
+        [
+          Alcotest.test_case "elision fires for LRU" `Quick test_elision_fires_for_lru;
+          Alcotest.test_case "no elision for FIFO or below 2n lines" `Quick
+            test_elision_never_for_fifo_or_small_caches;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest walker_props );
       ( "nested-permuted",
         [
           Alcotest.test_case "permuted order" `Quick test_permuted_order;

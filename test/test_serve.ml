@@ -244,6 +244,31 @@ let test_run_checked_too_large () =
     | Error e -> Alcotest.failf "wanted kernel_too_large, got %s" (Engine_error.code e)
     | Ok _ -> Alcotest.fail "2^63 iterations accepted for simulation")
 
+let test_run_checked_opt_too_large () =
+  (* OPT materializes its whole trace, so it is refused above 2^22
+     accesses: 1_048_576 iterations at matmul's 4 accesses per point.
+     LRU passes the same validation and only then meets the deadline. *)
+  let spec =
+    match Parser.parse_string "i = 150, j = 150, k = 150 : C[i,j] += A[i,k] * B[k,j]" with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "spec: %s" e
+  in
+  let run policy =
+    Pipeline.run_checked ~deadline:0.0
+      (Pipeline.request ~sims:[ Pipeline.sim ~policy Pipeline.Untiled ] spec ~m:1024)
+  in
+  (match run Policy.Opt with
+  | Error (Engine_error.Kernel_too_large { iterations; limit }) ->
+    Alcotest.(check string) "iterations" "3375000" iterations;
+    Alcotest.(check int) "limit" (Executor.opt_trace_limit / 4) limit;
+    Alcotest.(check int) "2^22 / 4" 1_048_576 limit
+  | Error e -> Alcotest.failf "wanted kernel_too_large, got %s" (Engine_error.code e)
+  | Ok _ -> Alcotest.fail "OPT over 2^22 accesses accepted");
+  match run Policy.Lru with
+  | Error (Engine_error.Deadline_exceeded _) -> ()
+  | Error e -> Alcotest.failf "LRU: wanted deadline_exceeded, got %s" (Engine_error.code e)
+  | Ok _ -> Alcotest.fail "expired deadline accepted"
+
 (* ------------------------------------------------------------------ *)
 (* The serve loop, driven by scripted events                           *)
 (* ------------------------------------------------------------------ *)
@@ -325,6 +350,17 @@ let test_loop_default_deadline () =
   Alcotest.(check (list (option string))) "only r0 expired"
     [ Some "deadline_exceeded"; None ]
     (List.map resp_error_code out)
+
+let test_loop_opt_too_large () =
+  let line =
+    {|{"id":"o1","kernel":"i = 150, j = 150, k = 150 : C[i,j] += A[i,k] * B[k,j]","m":1024,"schedules":["untiled"],"policies":["opt"]}|}
+  in
+  match run_loop [ Serve.Line line; Eof ] with
+  | [ l ] ->
+    Alcotest.(check (option string)) "code" (Some "kernel_too_large") (resp_error_code l);
+    Alcotest.(check bool) ("limit in message: " ^ l) true
+      (Astring.String.is_infix ~affix:"3375000 iterations > 1048576" l)
+  | out -> Alcotest.failf "expected 1 response, got %d" (List.length out)
 
 let test_loop_overloaded () =
   (* capacity 1: of three immediately-available lines, the first is
@@ -712,6 +748,7 @@ let () =
         [
           Alcotest.test_case "run_checked" `Quick test_run_checked;
           Alcotest.test_case "kernel too large" `Quick test_run_checked_too_large;
+          Alcotest.test_case "OPT trace too large" `Quick test_run_checked_opt_too_large;
         ] );
       ( "loop",
         [
@@ -719,6 +756,7 @@ let () =
           Alcotest.test_case "wait splits batches" `Quick test_loop_wait_splits_batches;
           Alcotest.test_case "malformed recovery" `Quick test_loop_malformed_recovery;
           Alcotest.test_case "deadline" `Quick test_loop_deadline;
+          Alcotest.test_case "OPT trace too large" `Quick test_loop_opt_too_large;
           Alcotest.test_case "default deadline" `Quick test_loop_default_deadline;
           Alcotest.test_case "overloaded" `Quick test_loop_overloaded;
           Alcotest.test_case "eof drains batch" `Quick test_loop_eof_drains;
