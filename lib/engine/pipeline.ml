@@ -544,7 +544,7 @@ let hierarchy ?policy spec ~capacities =
 
 let snapshot_version = 1
 
-let cache_snapshot () =
+let cache_snapshot ?plans () =
   let buf = Buffer.create 8192 in
   let str s = Buffer.add_string buf (Jsonlite.quote s) in
   let rat_array rs =
@@ -581,35 +581,34 @@ let cache_snapshot () =
     Buffer.add_char buf ']'
   in
   Buffer.add_string buf (Printf.sprintf "{\"v\":%d" snapshot_version);
-  section "lp" (Memo.to_alist lp_cache) (fun (sol : Tiling.lp_solution) ->
-    Buffer.add_string buf ",\"lambda\":";
-    rat_array sol.Tiling.lambda;
-    Buffer.add_string buf ",\"value\":";
-    str (Rat.to_string sol.Tiling.value);
-    Buffer.add_string buf ",\"dual\":";
-    rat_array sol.Tiling.dual);
-  section "shared" (Memo.to_alist shared_cache) (fun t -> int_array ",\"t\":" t);
-  section "nested" (Memo.to_alist nested_cache) (fun ts ->
-    Buffer.add_string buf ",\"ts\":[";
-    List.iteri
-      (fun i t ->
-        if i > 0 then Buffer.add_char buf ',';
-        int_array "" t)
-      ts;
-    Buffer.add_char buf ']');
+  let plans =
+    match plans with
+    | Some plans -> plans
+    | None ->
+      section "lp" (Memo.to_alist lp_cache) (fun (sol : Tiling.lp_solution) ->
+        Buffer.add_string buf ",\"lambda\":";
+        rat_array sol.Tiling.lambda;
+        Buffer.add_string buf ",\"value\":";
+        str (Rat.to_string sol.Tiling.value);
+        Buffer.add_string buf ",\"dual\":";
+        rat_array sol.Tiling.dual);
+      section "shared" (Memo.to_alist shared_cache) (fun t -> int_array ",\"t\":" t);
+      section "nested" (Memo.to_alist nested_cache) (fun ts ->
+        Buffer.add_string buf ",\"ts\":[";
+        List.iteri
+          (fun i t ->
+            if i > 0 then Buffer.add_char buf ',';
+            int_array "" t)
+          ts;
+        Buffer.add_char buf ']');
+      List.filter_map
+        (function _, Plan_ready p -> Some p | _, Plan_failed _ -> None)
+        (Memo.to_alist plan_cache)
+  in
   (* Plans are embedded as their own canonical JSON documents
      (Tiling_plan.to_json), which already round-trip byte-identically. *)
   Buffer.add_string buf ",\"plans\":[";
-  let first = ref true in
-  List.iter
-    (fun (_, entry) ->
-      match entry with
-      | Plan_ready p ->
-        if not !first then Buffer.add_char buf ',';
-        first := false;
-        Buffer.add_string buf (Tiling_plan.to_json p)
-      | Plan_failed _ -> ())
-    (Memo.to_alist plan_cache);
+  Buffer.add_string buf (String.concat "," (List.map Tiling_plan.to_json plans));
   Buffer.add_string buf "]}";
   Buffer.contents buf
 

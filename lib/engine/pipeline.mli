@@ -162,7 +162,6 @@ val tile_shared : Spec.t -> m:int -> int array
 (** Shared-cache tile (memoized — the search is the most expensive
     non-LP stage). *)
 
-val schedule_of : Spec.t -> m:int -> schedule_choice -> Schedules.t
 val simulate : Spec.t -> m:int -> sim_request -> Report.sim
 
 (** {1 Distributed-memory partitioning}
@@ -252,9 +251,12 @@ val reset_caches : unit -> unit
     and entries in sorted key order, so
     [snapshot -> restore -> snapshot] is byte-identical. *)
 
-val cache_snapshot : unit -> string
+val cache_snapshot : ?plans:Tiling_plan.t list -> unit -> string
 (** The current cache contents as one versioned JSON document
-    ([{"v":1, "lp":[...], "shared":[...], "nested":[...], "plans":[...]}]). *)
+    ([{"v":1, "lp":[...], "shared":[...], "nested":[...], "plans":[...]}]).
+    With [plans], the plan bundle instead: just those plans, in the
+    given order ([{"v":1,"plans":[...]}], what [tilings compile] writes
+    and [tilings serve --plans] reads back through {!cache_restore}). *)
 
 val cache_restore : string -> (int * int, string) result
 (** Load a snapshot into the (typically empty) caches:

@@ -525,12 +525,18 @@ let grid_search_shared spec ~m ~incumbent =
   Obs.incr ~by:!pruned_bound c_search_pruned_bound;
   !best
 
+(* The per-array LP tile for a scaled-down budget. The bound's beta
+   needs a budget of at least 2 words; below that the only tile that
+   fits is the all-ones tile. *)
+let optimal_at_budget spec ~budget =
+  if budget < 2 then Array.make (Spec.num_loops spec) 1 else optimal spec ~m:budget
+
 (* Shrink the per-array budget until the grown tile's total footprint
    fits in the shared cache. Each failed round multiplies the budget by
    at most m/total < 1, so this terminates; budget = 1 always fits. *)
 let lp_seed_shared spec ~m =
   let rec search budget rounds =
-    let tile = optimal spec ~m:budget in
+    let tile = optimal_at_budget spec ~budget in
     let total = total_footprint spec tile in
     if total <= m || budget <= 1 || rounds = 0 then tile
     else begin
@@ -612,8 +618,7 @@ let nested spec ~ms =
      the merge overflows the level's budget. *)
   let arrays = Spec.num_arrays spec in
   let level m =
-    let budget = Stdlib.max 1 (3 * m / (4 * arrays)) in
-    optimal spec ~m:budget
+    optimal_at_budget spec ~budget:(3 * m / (4 * arrays))
   in
   let tiles = Array.map level ms in
   for k = 1 to n - 1 do

@@ -110,11 +110,19 @@ let parse_number st =
   | Some f -> Num f
   | None -> error st "malformed number"
 
-let rec parse_value st =
+(* Containers nest by recursion, so hostile input could overflow the
+   stack; nothing this repo writes comes close to the cap. *)
+let max_depth = 512
+
+let open_container st depth =
+  if depth >= max_depth then error st (Printf.sprintf "nesting deeper than %d levels" max_depth);
+  st.pos <- st.pos + 1
+
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
   | Some '{' ->
-    st.pos <- st.pos + 1;
+    open_container st depth;
     skip_ws st;
     if peek st = Some '}' then begin
       st.pos <- st.pos + 1;
@@ -126,7 +134,7 @@ let rec parse_value st =
         let key = parse_string st in
         skip_ws st;
         expect st ':';
-        let v = parse_value st in
+        let v = parse_value st (depth + 1) in
         skip_ws st;
         match peek st with
         | Some ',' ->
@@ -140,7 +148,7 @@ let rec parse_value st =
       members []
     end
   | Some '[' ->
-    st.pos <- st.pos + 1;
+    open_container st depth;
     skip_ws st;
     if peek st = Some ']' then begin
       st.pos <- st.pos + 1;
@@ -148,7 +156,7 @@ let rec parse_value st =
     end
     else begin
       let rec elements acc =
-        let v = parse_value st in
+        let v = parse_value st (depth + 1) in
         skip_ws st;
         match peek st with
         | Some ',' ->
@@ -170,7 +178,7 @@ let rec parse_value st =
 
 let parse_exn s =
   let st = { src = s; pos = 0 } in
-  let v = parse_value st in
+  let v = parse_value st 0 in
   skip_ws st;
   if st.pos <> String.length s then error st "trailing garbage";
   v

@@ -21,7 +21,9 @@ exception Parse_error of string
 
 val parse : string -> (t, string) result
 (** Strict parse of a complete document (trailing whitespace allowed,
-    anything else is an error). *)
+    anything else is an error). Arrays and objects nested more than 512
+    deep are an error naming the cap, so hostile input cannot overflow
+    the stack. *)
 
 val parse_exn : string -> t
 (** @raise Parse_error on malformed input. *)

@@ -57,9 +57,8 @@ val all : unit -> (string * Spec.t) list
 
     {!lookup} resolves names; [Request.spec_of_kernel] adds the DSL
     spelling and the typed errors, and is what the serve daemon's wire
-    protocol and the CLI's by-name kernel arguments ([profile],
-    [partition]) call, so every surface accepts exactly the same
-    spellings. *)
+    protocol and every CLI kernel argument call, so every surface
+    accepts exactly the same spellings. *)
 
 val aliases : (string * string) list
 (** Shorthand -> preset name: [mm], [mv], [conv], [fc], [bmm]. *)

@@ -89,14 +89,17 @@ let named_list json field table ~what ~default =
       | None -> reject "unknown %s %S (%s)" what s (String.concat ", " (List.map fst table)))
     (string_list json field ~default)
 
+let sims ~schedules ~policies =
+  List.concat_map
+    (fun sched -> List.map (fun policy -> Pipeline.sim ~policy sched) policies)
+    schedules
+
 let decode_sims json =
   let schedules =
     named_list json "schedules" Pipeline.schedule_names ~what:"schedule" ~default:[]
   in
   let policies = named_list json "policies" Policy.names ~what:"policy" ~default:[ "lru" ] in
-  List.concat_map
-    (fun sched -> List.map (fun policy -> Pipeline.sim ~policy sched) policies)
-    schedules
+  sims ~schedules ~policies
 
 let spec_of_kernel text =
   if String.contains text ':' then

@@ -75,11 +75,20 @@ type decode_error = {
 
 val spec_of_kernel : string -> (Spec.t, Engine_error.t) result
 (** Resolve a ["kernel"] value in any accepted spelling, as every
-    surface that takes a kernel by name does (the wire field, and the
-    CLI's [profile] and [partition]): text containing [':'] is parsed as
+    surface that takes a kernel does (the wire field, and every CLI
+    kernel argument): text containing [':'] is parsed as
     the DSL ([Parse_error] with its line/column on failure), anything
     else is a preset name, alias or unique prefix ({!Kernels.lookup};
     [Invalid_spec] naming the candidates on failure). *)
+
+val sims :
+  schedules:Pipeline.schedule_choice list ->
+  policies:Policy.t list ->
+  Pipeline.sim_request list
+(** The simulations a request runs: the cross product
+    [schedules x policies], schedule-major — how the wire's
+    ["schedules"]/["policies"] fields and [tilings sweep]'s
+    [--schedules]/[--policies] expand. *)
 
 val decode : string -> (t, decode_error) result
 (** Decode one request line. Malformed JSON -> [Parse_error]; a

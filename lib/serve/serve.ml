@@ -1,4 +1,8 @@
-type event = Line of string | Wait | Eof
+type event = Line of string | Oversized | Wait | Eof
+
+(* A request line may not grow past this many bytes: the reader stops
+   buffering it, skips to its newline and reports it as [Oversized]. *)
+let max_line_bytes = 1 lsl 20
 
 type config = {
   jobs : int;
@@ -93,11 +97,13 @@ let classify_request (req : Request.t) =
   | Request.Analyze { sims; _ } | Request.Sweep { sims; _ } ->
     if sims = [] then Pool.Analytic else Pool.Simulation
 
+let error_item session ~emit ~id ~v err =
+  { it_id = ensure_id session id; it_v = v; it_class = Pool.Analytic;
+    it_warnings = []; it_work = Error err; it_emit = emit }
+
 let decode_line cfg session ~admitted_at ~emit line =
   match Request.decode line with
-  | Error { Request.err_id; err_v; err } ->
-    { it_id = ensure_id session err_id; it_v = err_v; it_class = Pool.Analytic;
-      it_warnings = []; it_work = Error err; it_emit = emit }
+  | Error { Request.err_id; err_v; err } -> error_item session ~emit ~id:err_id ~v:err_v err
   | Ok req ->
     let budget =
       match req.Request.deadline_s with
@@ -149,6 +155,17 @@ let admit cfg adm item =
     adm.adm_rejected <- adm.adm_rejected + 1;
     adm.adm_rejected_rev <- (item.it_id, item.it_v, item.it_emit) :: adm.adm_rejected_rev
   end
+
+(* A line the transport discarded unread is answered like a request that
+   failed to decode. *)
+let admit_event cfg adm session ~admitted_at ~emit = function
+  | Line l -> admit cfg adm (decode_line cfg session ~admitted_at ~emit l)
+  | Oversized ->
+    admit cfg adm
+      (error_item session ~emit ~id:None ~v:1
+         (Engine_error.Invalid_request
+            (Printf.sprintf "request line longer than %d bytes" max_line_bytes)))
+  | Wait | Eof -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)
@@ -339,13 +356,13 @@ let serve ?(stop = fun () -> false) cfg ~next ~emit =
       match next ~block:true with
       | Eof -> ()
       | Wait -> loop () (* interrupted: re-check [stop] and retry *)
-      | Line first ->
+      | (Line _ | Oversized) as first ->
         (* Drain what is already waiting into this cycle's batch. Reads
            per cycle are bounded (capacity admitted per class + capacity
            rejected); anything beyond stays in the transport's buffer. *)
         let admitted_at = Unix.gettimeofday () in
         let adm = new_admission () in
-        admit cfg adm (decode_line cfg session ~admitted_at ~emit first);
+        admit_event cfg adm session ~admitted_at ~emit first;
         let saw_eof = ref false in
         let draining = ref true in
         while !draining do
@@ -356,7 +373,7 @@ let serve ?(stop = fun () -> false) cfg ~next ~emit =
             | Eof ->
               saw_eof := true;
               draining := false
-            | Line l -> admit cfg adm (decode_line cfg session ~admitted_at ~emit l)
+            | (Line _ | Oversized) as ev -> admit_event cfg adm session ~admitted_at ~emit ev
         done;
         process cfg (List.rev adm.adm_admitted_rev) (List.rev adm.adm_rejected_rev);
         if !saw_eof then () else loop ()
@@ -371,18 +388,31 @@ let reader_of_fd fd =
   let chunk = Bytes.create 65536 in
   let pending = Queue.create () in
   let partial = Buffer.create 256 in
+  let skipping = ref false (* inside an oversized line: drop to its newline *) in
   let eof = ref false in
+  let add_segment lo hi =
+    if not !skipping then
+      if Buffer.length partial + (hi - lo) > max_line_bytes then begin
+        Buffer.clear partial;
+        skipping := true;
+        Queue.add Oversized pending
+      end
+      else Buffer.add_subbytes partial chunk lo (hi - lo)
+  in
   let push_chunk n =
     let start = ref 0 in
     for i = 0 to n - 1 do
       if Bytes.get chunk i = '\n' then begin
-        Buffer.add_subbytes partial chunk !start (i - !start);
-        Queue.add (Buffer.contents partial) pending;
-        Buffer.clear partial;
+        add_segment !start i;
+        if !skipping then skipping := false
+        else begin
+          Queue.add (Line (Buffer.contents partial)) pending;
+          Buffer.clear partial
+        end;
         start := i + 1
       end
     done;
-    Buffer.add_subbytes partial chunk !start (n - !start)
+    add_segment !start n
   in
   (* `Progress: bytes consumed (or EOF reached); `Would_block; `Interrupted *)
   let try_read ~block =
@@ -407,7 +437,7 @@ let reader_of_fd fd =
   in
   fun ~block ->
     let rec go () =
-      if not (Queue.is_empty pending) then Line (Queue.pop pending)
+      if not (Queue.is_empty pending) then Queue.pop pending
       else if !eof then
         if Buffer.length partial > 0 then begin
           (* final line without a trailing newline *)
@@ -535,10 +565,9 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
             match c.c_next ~block:false with
             | Wait -> ()
             | Eof -> c.c_eof <- true
-            | Line l ->
+            | (Line _ | Oversized) as ev ->
               progress := true;
-              admit cfg adm
-                (decode_line cfg c.c_session ~admitted_at ~emit:(conn_emit c) l)
+              admit_event cfg adm c.c_session ~admitted_at ~emit:(conn_emit c) ev
             | exception Unix.Unix_error _ -> c.c_eof <- true
         done
       done
@@ -601,5 +630,3 @@ let run_daemon ?stop cfg ?socket_path ?tcp_port () =
   Fun.protect
     ~finally:(fun () -> List.iter (fun f -> f ()) !finalizers)
     (fun () -> daemon_loop ?stop cfg ~listeners:!listeners ())
-
-let run_socket ?stop cfg ~path = run_daemon ?stop cfg ~socket_path:path ()

@@ -75,6 +75,10 @@
 
 type event =
   | Line of string  (** one complete request line, newline stripped *)
+  | Oversized
+      (** a line longer than 1 MiB, discarded by the transport without
+          buffering it; answered with one [invalid_request] naming the
+          limit *)
   | Wait  (** nothing available without blocking (or interrupted) *)
   | Eof
 
@@ -109,7 +113,10 @@ val serve :
 
 val reader_of_fd : Unix.file_descr -> block:bool -> event
 (** Buffered line reader over a file descriptor. Non-blocking probes use
-    [select]; [EINTR] surfaces as [Wait] so signal flags get checked. *)
+    [select]; [EINTR] surfaces as [Wait] so signal flags get checked.
+    A line is buffered up to 1 MiB (1,048,576 bytes, newline excluded);
+    past that the reader yields [Oversized] once and drops the rest of
+    the line up to its newline, so later lines are still served. *)
 
 val run_pipe : ?stop:(unit -> bool) -> config -> unit
 (** Serve stdin -> stdout until EOF. Responses are written and flushed
@@ -140,13 +147,7 @@ val run_daemon :
     what a one-shot pipe session would produce for the same lines.
     EOF from a client closes its connection after its admitted
     requests are answered; a client that vanishes mid-write is dropped
-    without disturbing the others ([stop] and SIGPIPE caveats as in
-    {!run_socket}). *)
-
-val run_socket : ?stop:(unit -> bool) -> config -> path:string -> unit
-(** [run_daemon] with only the Unix-domain listener at [path]: each
-    connection is an NDJSON session with the same per-line semantics as
-    {!run_pipe}, and concurrent connections are served fairly from the
-    shared batch loop. The socket file is removed on return. Callers
-    should ignore [SIGPIPE] so a vanishing client surfaces as [EPIPE]
-    (handled per-connection) rather than killing the daemon. *)
+    without disturbing the others. [stop] is polled between batch
+    cycles. Callers should ignore [SIGPIPE] so a vanishing client
+    surfaces as [EPIPE] (handled per connection) rather than killing
+    the daemon. *)

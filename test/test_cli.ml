@@ -358,7 +358,16 @@ let test_serve_plans () =
   Alcotest.(check (list string)) "plans-preloaded transcript byte-identical"
     (read_lines "golden/serve_transcript.ndjson")
     preloaded;
-  check_fails "missing plans file" "serve --plans /nonexistent/plans.json" "--plans"
+  check_fails "missing plans file" "serve --plans /nonexistent/plans.json" "--plans";
+  (* a bundle is read as a cache snapshot; one malformed plan in it
+     fails startup rather than serving with part of the bundle *)
+  let bad = Filename.temp_file "cli_bad_plans" ".json" in
+  Out_channel.with_open_bin bad (fun oc ->
+    output_string oc {|{"v":1,"plans":[{"shape":"d=2;garbage"}]}|});
+  check_typed "malformed plan in bundle"
+    (Printf.sprintf "serve --plans %s < /dev/null" bad)
+    ~exit:8 ~code:"invalid_request";
+  Sys.remove bad
 
 let test_serve_metrics () =
   (* serve --metrics prints the serve.* section to stderr after drain *)
@@ -679,13 +688,60 @@ let test_typed_refusals () =
   if not (Astring.String.is_infix ~affix:"increasing" out) then
     Alcotest.failf "bad levels: diagnostic missing \"increasing\"\n%s" out
 
+(* -k/--kernel and -p/--preset are one option resolved like the wire's
+   "kernel" field: a preset name, an alias, a unique prefix or the DSL
+   all name the same kernel and print the same bytes. *)
+let test_kernel_spellings () =
+  List.iter
+    (fun (sub, opts) ->
+      let outputs =
+        List.map
+          (fun k ->
+            let cmd = Printf.sprintf "%s %s %s" sub k opts in
+            let code, out = run cmd in
+            if code <> 0 then Alcotest.failf "%s: exit %d\n%s" cmd code out;
+            out)
+          [ "-k mm"; "-p matmul"; "-k matmul"; "--preset matm"; "--kernel mm" ]
+      in
+      List.iter
+        (fun out -> Alcotest.(check string) (sub ^ ": same output") (List.hd outputs) out)
+        outputs)
+    [ ("analyze", "-m 1024"); ("tile", "-m 1024"); ("simulate", "-m 256"); ("codegen", "-m 1024") ]
+
+(* Caches of a few words: the shared tile falls back to all ones
+   instead of failing inside the bound's beta (which needs m >= 2). *)
+let test_small_caches () =
+  check_ok "tile m=3" "tile -p matmul -m 3" [ "1(x1) x 1(x2) x 1(x3)" ];
+  check_ok "tile m=4" "tile -p matmul -m 4" [ "shared cache" ];
+  check_ok "codegen m=3" "codegen -p matmul -m 3" [ "tile: 1 x 1 x 1" ];
+  check_ok "hierarchy 3,4" "hierarchy -p matmul --levels 3,4" [ "level 2 (M = 4 words)" ]
+
 let test_error_paths () =
   check_fails "no kernel" "analyze" "kernel is required";
-  check_fails "both sources" "analyze -p matmul -k 'i = 2 : A[i] = B[i]'" "not both";
-  check_fails "unknown preset" "analyze -p nosuch" "unknown preset";
-  check_fails "bad dsl" "analyze -k 'garbage'" "parse error";
-  check_fails "bad dsl position" "analyze -k 'garbage'" "line 1";
+  (* the two spellings name one option, so giving both is cmdliner's
+     own usage error *)
+  let code, out = run "analyze -p matmul -k 'i = 2 : A[i] = B[i]'" in
+  if code <> 124 then Alcotest.failf "both spellings: expected exit 124, got %d\n%s" code out;
+  if not (Astring.String.is_infix ~affix:"cannot be present at the same time" out) then
+    Alcotest.failf "both spellings: cmdliner diagnostic missing\n%s" out;
+  check_typed "unknown kernel" "analyze -p nosuch" ~exit:3 ~code:"invalid_spec";
+  check_fails "unknown kernel wording" "analyze -p nosuch" "unknown kernel";
+  check_fails "bad dsl" "analyze -k 'garbage : x'" "parse error";
+  check_fails "bad dsl position" "analyze -k 'garbage : x'" "line 1";
   check_fails "bad cache" "analyze -p matmul -m 1" "cache";
+  (* unwritable or unbindable paths are diagnosed, never an uncaught
+     exception (cmdliner's exit 125) *)
+  List.iter
+    (fun (args, fragment) ->
+      let code, out = run args in
+      if code = 0 || code = 125 then Alcotest.failf "%s: exit %d\n%s" args code out;
+      if not (Astring.String.is_infix ~affix:fragment out) then
+        Alcotest.failf "%s: diagnostic missing %S\n%s" args fragment out)
+    [
+      ("analyze -k mm --trace /nonexistent/dir/t.json", "--trace /nonexistent");
+      ("compile -k mm -o /nonexistent/dir/plans.json", "--output /nonexistent");
+      ("serve --socket /nonexistent/dir/s.sock < /dev/null", "bind (socket /nonexistent");
+    ];
   check_fails "bad levels" "hierarchy -p matmul --levels 512,256" "increasing"
 
 let () =
@@ -714,6 +770,8 @@ let () =
           Alcotest.test_case "trace flag" `Quick test_trace_flag;
           Alcotest.test_case "overflow guards" `Quick test_overflow_guards;
           Alcotest.test_case "typed refusals" `Quick test_typed_refusals;
+          Alcotest.test_case "kernel spellings" `Quick test_kernel_spellings;
+          Alcotest.test_case "small caches" `Quick test_small_caches;
           Alcotest.test_case "error paths" `Quick test_error_paths;
         ] );
       ( "serve",

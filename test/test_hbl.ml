@@ -463,6 +463,29 @@ let test_optimal_shared_fits_total () =
         [ 16; 256; 4096 ])
     (Kernels.all ())
 
+(* Small caches: the seed's per-array budget shrinks below the 2 words
+   the bound's beta needs, where the all-ones tile is the only fit. Every
+   m from one word per array up to 2n + 2 must give a tile (and a nested
+   ladder) whose total footprint fits. *)
+let test_optimal_shared_small_caches () =
+  List.iter
+    (fun (name, spec) ->
+      let n = Spec.num_arrays spec in
+      for m = n to (2 * n) + 2 do
+        let tile = Tiling.optimal_shared spec ~m in
+        if Tiling.total_footprint spec tile > m then
+          Alcotest.failf "%s M=%d: total footprint %d > %d" name m
+            (Tiling.total_footprint spec tile) m
+      done;
+      List.iter2
+        (fun m t ->
+          if Tiling.total_footprint spec t > m then
+            Alcotest.failf "%s nested level M=%d: total footprint %d" name m
+              (Tiling.total_footprint spec t))
+        [ n; n + 1 ]
+        (Tiling.nested spec ~ms:[| n; n + 1 |]))
+    (Kernels.all ())
+
 let test_optimal_shared_no_worse_than_scaled () =
   (* The shared-budget search should never lose badly, under real LRU
      simulation, to the naive per-array M/n heuristic. (Exact ordering is
@@ -875,6 +898,7 @@ let () =
       ( "shared-tiles",
         [
           Alcotest.test_case "fits total budget" `Quick test_optimal_shared_fits_total;
+          Alcotest.test_case "small caches" `Quick test_optimal_shared_small_caches;
           Alcotest.test_case "no worse than scaled" `Quick test_optimal_shared_no_worse_than_scaled;
           Alcotest.test_case "validation" `Quick test_optimal_shared_validation;
           Alcotest.test_case "huge bounds terminate" `Quick test_huge_bounds_terminate;

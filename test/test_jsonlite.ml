@@ -65,6 +65,23 @@ let test_rejects () =
   bad "lone minus" "-";
   bad "two documents" "{} {}"
 
+let test_depth_cap () =
+  (* nesting is capped, so hostile input is an error, not a stack
+     overflow; documents at the cap still parse *)
+  let nest n = String.make n '[' ^ String.make n ']' in
+  (match parse (String.make 100_000 '[') with
+  | Error msg ->
+    Alcotest.(check bool) ("names the cap: " ^ msg) true
+      (Astring.String.is_infix ~affix:"deeper than 512" msg)
+  | Ok _ -> Alcotest.fail "100,000-deep input parsed");
+  (match parse (String.concat "" (List.init 600 (fun _ -> {|{"a":|}))) with
+  | Error msg ->
+    Alcotest.(check bool) "objects count too" true
+      (Astring.String.is_infix ~affix:"deeper than 512" msg)
+  | Ok _ -> Alcotest.fail "600-deep objects parsed");
+  Alcotest.(check bool) "512 deep parses" true (Result.is_ok (parse (nest 512)));
+  Alcotest.(check bool) "513 deep rejected" true (Result.is_error (parse (nest 513)))
+
 let test_accessors () =
   let v = ok {|{"n": 2.5, "s": "str", "l": [1, 2], "o": {"k": 1}}|} in
   Alcotest.(check (option (float 0.0))) "num_member" (Some 2.5) (num_member "n" v);
@@ -105,6 +122,7 @@ let () =
           Alcotest.test_case "escapes" `Quick test_escapes;
           Alcotest.test_case "containers" `Quick test_containers;
           Alcotest.test_case "rejects malformed input" `Quick test_rejects;
+          Alcotest.test_case "depth cap" `Quick test_depth_cap;
           Alcotest.test_case "accessors" `Quick test_accessors;
           Alcotest.test_case "roundtrips this repo's writers" `Quick
             test_roundtrips_own_writers;

@@ -331,6 +331,46 @@ let test_loop_malformed_recovery () =
     [ None; Some "parse_error"; Some "invalid_request"; None ]
     (List.map resp_error_code out)
 
+let test_loop_deep_json () =
+  (* a line nested far past Jsonlite's depth cap is answered with a
+     parse_error instead of overflowing the stack; the next line is
+     still served *)
+  let deep = String.make 100_000 '[' in
+  let out = run_loop [ Serve.Line deep; Line (req 1); Eof ] in
+  Alcotest.(check (list (option string))) "codes"
+    [ Some "parse_error"; None ]
+    (List.map resp_error_code out);
+  Alcotest.(check (option string)) "valid line answered" (Some "r1") (resp_id (List.nth out 1))
+
+let test_reader_line_cap () =
+  (* an over-long line is dropped by the reader without buffering it and
+     answered with one invalid_request naming the limit; a line of
+     exactly the limit and the lines around them are served normally *)
+  let limit = 1 lsl 20 in
+  let path = Filename.temp_file "serve_long" ".ndjson" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let at_limit = String.make (limit - String.length (req 2)) ' ' ^ req 2 in
+  Out_channel.with_open_bin path (fun oc ->
+    List.iter
+      (fun l -> output_string oc (l ^ "\n"))
+      [ req 0; String.make (limit + 1) 'x'; at_limit; req 3 ]);
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let out = ref [] in
+  Serve.serve
+    { (Serve.default_config ()) with jobs = 1 }
+    ~next:(Serve.reader_of_fd fd)
+    ~emit:(fun l -> out := l :: !out);
+  let out = List.rev !out in
+  Alcotest.(check (list (option string))) "codes"
+    [ None; Some "invalid_request"; None; None ]
+    (List.map resp_error_code out);
+  Alcotest.(check (list (option string))) "served around the long line"
+    [ Some "r0"; Some "r2"; Some "r3" ]
+    (List.map resp_id (List.filteri (fun i _ -> i <> 1) out));
+  Alcotest.(check bool) "error names the limit" true
+    (Astring.String.is_infix ~affix:"1048576 bytes" (List.nth out 1))
+
 let test_loop_deadline () =
   (* deadline_ms 0 is the liveness probe: fails before any work *)
   let out = run_loop [ Serve.Line (req ~extra:{|,"deadline_ms":0|} 0); Eof ] in
@@ -755,6 +795,8 @@ let () =
           Alcotest.test_case "arrival order" `Quick test_loop_order;
           Alcotest.test_case "wait splits batches" `Quick test_loop_wait_splits_batches;
           Alcotest.test_case "malformed recovery" `Quick test_loop_malformed_recovery;
+          Alcotest.test_case "deep JSON line" `Quick test_loop_deep_json;
+          Alcotest.test_case "line length cap" `Quick test_reader_line_cap;
           Alcotest.test_case "deadline" `Quick test_loop_deadline;
           Alcotest.test_case "OPT trace too large" `Quick test_loop_opt_too_large;
           Alcotest.test_case "default deadline" `Quick test_loop_default_deadline;
