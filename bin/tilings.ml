@@ -673,11 +673,12 @@ let serve_cmd =
       & opt (some string) None
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
-            "Persist the memo and compiled-plan caches: load a versioned \
-             snapshot from $(docv) at boot (corrupt entries are rejected \
-             individually; a missing file is a cold boot) and write one \
-             back on drain, so a restarted daemon answers repeat shapes \
-             without re-solving.")
+            "Persist the tile and compiled-plan caches: load a versioned \
+             snapshot from $(docv) at boot (plans are recompiled from their \
+             shape keys and tiles checked against their keys; bad entries \
+             are rejected individually; a missing file is a cold boot) and \
+             write one back on drain, so a restarted daemon answers repeat \
+             shapes without re-solving.")
   in
   let queue_arg =
     Arg.(
@@ -714,7 +715,9 @@ let serve_cmd =
           ~doc:
             "Preload a plan bundle written by $(b,tilings compile -o) (schema \
              {\"v\":1,\"plans\":[...]}), so requests for those kernel shapes \
-             are plan-served from the very first batch, with no LP warm-up.")
+             are plan-served from the very first batch, with no LP warm-up. \
+             Each plan is recompiled from its shape key; the stored vertex \
+             tables are not read.")
   in
   let slow_ms_arg =
     Arg.(

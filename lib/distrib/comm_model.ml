@@ -93,44 +93,33 @@ let simulate_processor spec ~grid ~m_local =
   let r = Executor.run sub ~schedule:(Schedules.Tiled tile) ~capacity:m_local in
   { grid = Array.copy grid; m_local; tile; words_per_proc = r.Executor.words_moved }
 
-(* Iterations coverable by a tile whose per-array footprint is at most f:
-   f^{k_hat} with beta measured in base f. *)
-let coverage spec f =
-  if f < 2.0 then 1.0
+(* One exact LP over l_i = rationalized ln L_i, with T = sum l_i - ln(prod
+   L_i / I) taken from the same l_i so p = 1 stays feasible (THEORY.md).
+   Its dual over the target row's multiplier y is the binding vertex
+   (zeta, s), the bound rows carrying -zeta_i y: ln F = (ln I - zeta .
+   ln L) / sigma, in floats, rounded up with a 1e-9 slack so exact powers
+   stay exact. *)
+let footprint spec ~ln_gap =
+  let ln_l = Array.map (fun l -> log (float_of_int l)) spec.Spec.bounds in
+  let ell = Array.map Rat.rationalize ln_l in
+  let target = Rat.sub (Array.fold_left Rat.add Rat.zero ell) (Rat.rationalize ln_gap) in
+  let dual = (Simplex.solve_exn (Hbl_lp.partition_footprint spec ~ell ~target)).Simplex.dual in
+  let n = Spec.num_arrays spec and y = dual.(0) in
+  if Rat.sign y <= 0 then 1.0
   else begin
-    let log_f = log f in
-    let beta =
-      Array.map
-        (fun l -> if l <= 1 then Rat.zero else Rat.rationalize (log (float_of_int l) /. log_f))
-        spec.Spec.bounds
-    in
-    Float.exp (Rat.to_float (Tiling.lp_value spec ~beta) *. log_f)
+    let per_y r = Rat.to_float (Rat.div r y) in
+    let sigma = per_y (Array.fold_left Rat.add Rat.zero (Array.sub dual 1 n)) in
+    let ln_f = ref (Array.fold_left ( +. ) 0.0 ln_l -. ln_gap) in
+    Array.iteri (fun i l -> ln_f := !ln_f +. (per_y dual.(1 + n + i) *. l)) ln_l;
+    Float.max 1.0 (Float.ceil (Float.exp (!ln_f /. sigma) *. (1.0 -. 1e-9)))
   end
 
 let min_footprint spec ~iterations =
   if iterations <= 1.0 then 1.0
-  else begin
-    (* Coverage is monotone in f; bisect in the float domain. The search
-       used to double a native int, which wraps at 2^62 and then cycles
-       at 0 forever when k_hat = 1 forces f past max_int (e.g. a
-       full-support array over 2^21-cubed bounds needs f ~ 2^63). Floats
-       reach such footprints exactly enough; the bisection stops at one
-       part in 10^12, which subsumes the old integer-resolution stop for
-       every footprint below 2^52. *)
-    let hi = ref 2.0 in
-    while coverage spec !hi < iterations do
-      hi := !hi *. 2.0
-    done;
-    let lo = ref (!hi /. 2.0) in
-    while !hi -. !lo > Float.max 1.0 (1e-12 *. !hi) do
-      let mid = Float.round ((!lo +. !hi) /. 2.0) in
-      if mid <= !lo || mid >= !hi then lo := !hi
-      else if coverage spec mid >= iterations then hi := mid
-      else lo := mid
-    done;
-    !hi
-  end
+  else
+    let ln_space = Array.fold_left (fun acc l -> acc +. log (float_of_int l)) 0.0 spec.Spec.bounds in
+    footprint spec ~ln_gap:(Float.max 0.0 (ln_space -. log iterations))
 
 let lower_bound spec ~p =
-  let iterations = Bigint.to_float (Spec.iteration_count_big spec) /. float_of_int p in
-  min_footprint spec ~iterations
+  if Bigint.to_float (Spec.iteration_count_big spec) <= float_of_int p then 1.0
+  else footprint spec ~ln_gap:(log (float_of_int p))

@@ -11,7 +11,7 @@
     executing [V = prod L_i / P] iterations whose per-array footprint is
     [F] covers at most [F^k_hat(F)] iterations (Theorem 2 with [M = F]),
     so its footprint — and hence its received volume — must be at least
-    the smallest [F] with [F^k_hat(F) >= V]. *)
+    the smallest [F] with [F^k_hat(F) >= V], found by one LP (THEORY.md). *)
 
 type grid_cost = {
   grid : int array;
@@ -68,10 +68,14 @@ val simulate_processor : Spec.t -> grid:int array -> m_local:int -> processor_ru
     @raise Invalid_argument if the block is too large to simulate. *)
 
 val min_footprint : Spec.t -> iterations:float -> float
-(** Smallest per-array footprint [F] such that a tile of footprint [F]
-    can cover [iterations] points (binary search over Theorem 2 with
-    [M = F]). This is the per-processor communication lower bound when
-    [iterations = prod L_i / P]. *)
+(** Smallest per-array footprint [F], in whole words, of a tile that
+    covers [iterations] points (Theorem 2 with [M = F]): one exact LP
+    ({!Hbl_lp.partition_footprint}) gives the binding dual vertex
+    [(zeta, sigma)], and [F = (I / prod_i L_i^zeta_i)^(1/sigma)] is
+    evaluated in floats and reported as [ceil(F (1 - 1e-9))], so exact
+    powers stay exact. [1.0] when [iterations <= 1]; above [prod L_i] it
+    is clamped. *)
 
 val lower_bound : Spec.t -> p:int -> float
-(** [min_footprint] at [iterations = prod L_i / p]. *)
+(** [min_footprint] at [iterations = prod L_i / p], the per-processor
+    communication lower bound, with [ln p] taken exactly from [p]. *)

@@ -3,7 +3,7 @@
     One file per cache directory — [tilings_caches.json], the versioned
     snapshot produced by {!Pipeline.cache_snapshot}. The serve CLI's
     [--cache-dir DIR] loads it at boot and rewrites it on drain, so
-    restarts and new replicas start with warm LP/plan/basis tables
+    restarts and new replicas start with warm plan and tile tables
     instead of cold-solving every shape again.
 
     Durability: saves write to a temp file in the same directory and

@@ -100,36 +100,37 @@ let to_alist t =
   in
   List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2) all
 
-let string_of_mode = function Spec.Read -> "r" | Spec.Write -> "w" | Spec.Update -> "u"
+let ints xs = String.concat "," (List.map string_of_int (Array.to_list xs))
 
 let key_of_spec (spec : Spec.t) =
-  let buf = Buffer.create 96 in
-  Buffer.add_string buf "L=";
-  Array.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int l))
-    spec.Spec.bounds;
-  let rows =
-    Array.to_list spec.Spec.arrays
-    |> List.map (fun (a : Spec.array_ref) ->
-         Printf.sprintf "%s:%s" (string_of_mode a.Spec.mode)
-           (String.concat "," (List.map string_of_int (Array.to_list a.Spec.support))))
-    |> List.sort String.compare
-  in
-  Buffer.add_string buf ";A=";
-  Buffer.add_string buf (String.concat "|" rows);
-  Buffer.contents buf
+  Printf.sprintf "L=%s;A=%s" (ints spec.Spec.bounds) (Tiling_plan.render_rows spec)
+
+(* A bound that does not parse reads 0, which Spec.create refuses; the
+   re-rendering check refuses every other non-canonical spelling. *)
+let spec_of_key key =
+  match String.split_on_char ';' key with
+  | l :: a :: rest when String.starts_with ~prefix:"L=" l && String.starts_with ~prefix:"A=" a ->
+    let ls = String.sub l 2 (String.length l - 2) in
+    if String.fold_left (fun n c -> if c = ',' then n + 1 else n) 0 ls >= Tiling_plan.max_loops
+    then Error (Printf.sprintf "key names more than %d loops" Tiling_plan.max_loops)
+    else begin
+      let bound s = Option.value ~default:0 (int_of_string_opt s) in
+      let bounds = Array.of_list (List.map bound (String.split_on_char ',' ls)) in
+      match Tiling_plan.spec_of_rows ~bounds (String.sub a 2 (String.length a - 2)) with
+      | Ok spec when String.equal (key_of_spec spec) (l ^ ";" ^ a) ->
+        let field f =
+          match String.index_opt f '=' with
+          | Some i -> (String.sub f 0 i, String.sub f (i + 1) (String.length f - i - 1))
+          | None -> (f, "")
+        in
+        Ok (spec, List.map field rest)
+      | Ok _ -> Error (Printf.sprintf "key %S is not canonical" key)
+      | Error _ as e -> e
+    end
+  | _ -> Error (Printf.sprintf "key %S does not start L=...;A=..." key)
 
 let key_of_shape = Tiling_plan.shape_key
 
 let key_of_spec_beta spec ~beta =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (key_of_spec spec);
-  Buffer.add_string buf ";b=";
-  Array.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Rat.to_string r))
-    beta;
-  Buffer.contents buf
+  Printf.sprintf "%s;b=%s" (key_of_spec spec)
+    (String.concat "," (List.map Rat.to_string (Array.to_list beta)))

@@ -59,6 +59,12 @@ val key_of_spec : Spec.t -> string
 (** Canonical rendering of bounds + sorted (support, mode) rows; loop and
     array names do not appear. *)
 
+val spec_of_key : string -> (Spec.t * (string * string) list, string) result
+(** Inverse of {!key_of_spec} on a key that may go on with [;name=value]
+    fields (such as [b] and [m]): the spec, with generated names, and
+    those fields in order. Anything {!key_of_spec} would not have
+    written is an [Error] ({!Tiling_plan.spec_of_rows}). *)
+
 val key_of_shape : Spec.t -> string
 (** {!key_of_spec} without the bounds prefix ({!Tiling_plan.shape_key}):
     the key of the kernel's {e shape} alone. Everything the tiling plan

@@ -512,11 +512,12 @@ type hierarchy_report = {
 
 let nested_cache : int array list Memo.t = Memo.create ~name:"nested" ()
 
+let nested_key spec ~capacities =
+  Memo.key_of_spec spec ^ ";ms="
+  ^ String.concat "," (List.map string_of_int (Array.to_list capacities))
+
 let nested_tiles spec ~capacities =
-  let key =
-    Memo.key_of_spec spec ^ ";ms="
-    ^ String.concat "," (List.map string_of_int (Array.to_list capacities))
-  in
+  let key = nested_key spec ~capacities in
   Memo.find_or_add nested_cache key (fun () -> Tiling.nested spec ~ms:capacities)
 
 let hierarchy ?policy spec ~capacities =
@@ -532,30 +533,23 @@ let hierarchy ?policy spec ~capacities =
 (* ------------------------------------------------------------------ *)
 
 (* A versioned JSON document of every durable memo table, so a restarted
-   daemon (or a fresh replica) boots warm. Persisted: the LP solutions,
-   the shared tiles, the nested-tiling table and the compiled plans.
-   Deliberately not persisted: the analysis cache (cheap to rebuild from
-   a warm LP/plan table and full of floats) and Plan_failed negative
-   entries (re-failing is cheap). Sections this build does not know —
-   the "basis" section older snapshots carry — are skipped, not
-   counted as rejected.
-   Entries are emitted in sorted key order and rationals as exact
-   strings, so snapshot -> restore -> snapshot is byte-identical. *)
+   daemon (or a fresh replica) boots warm. Persisted: the shared tiles,
+   the nested-tiling table and the compiled plans. Not persisted: the LP
+   memo (plans answer LP (5.1) for every compiled shape with no solve),
+   the analysis cache (cheap to rebuild and full of floats) and
+   Plan_failed negative entries (re-failing is cheap). Nothing restored
+   is trusted: a plan is recompiled from its shape key, and a tile is
+   checked against the spec its key names. Sections this build does not
+   read — the "lp" and "basis" sections older snapshots carry — are
+   skipped, not counted as rejected.
+   Entries are emitted in sorted key order, so snapshot -> restore ->
+   snapshot is byte-identical. *)
 
 let snapshot_version = 1
 
 let cache_snapshot ?plans () =
   let buf = Buffer.create 8192 in
   let str s = Buffer.add_string buf (Jsonlite.quote s) in
-  let rat_array rs =
-    Buffer.add_char buf '[';
-    Array.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_char buf ',';
-        str (Rat.to_string r))
-      rs;
-    Buffer.add_char buf ']'
-  in
   let int_array label ints =
     Buffer.add_string buf label;
     Buffer.add_char buf '[';
@@ -585,13 +579,6 @@ let cache_snapshot ?plans () =
     match plans with
     | Some plans -> plans
     | None ->
-      section "lp" (Memo.to_alist lp_cache) (fun (sol : Tiling.lp_solution) ->
-        Buffer.add_string buf ",\"lambda\":";
-        rat_array sol.Tiling.lambda;
-        Buffer.add_string buf ",\"value\":";
-        str (Rat.to_string sol.Tiling.value);
-        Buffer.add_string buf ",\"dual\":";
-        rat_array sol.Tiling.dual);
       section "shared" (Memo.to_alist shared_cache) (fun t -> int_array ",\"t\":" t);
       section "nested" (Memo.to_alist nested_cache) (fun ts ->
         Buffer.add_string buf ",\"ts\":[";
@@ -617,27 +604,55 @@ let cache_snapshot ?plans () =
    not a dead daemon. Only a malformed container (unparseable JSON,
    missing/wrong version) rejects the whole document. *)
 
-let json_ints j =
+let json_list f j =
   Option.bind (Jsonlite.to_list j) (fun l ->
-    let rec go acc = function
-      | [] -> Some (Array.of_list (List.rev acc))
-      | x :: tl -> (
-        match Jsonlite.to_num x with
-        | Some f when Float.is_integer f -> go (int_of_float f :: acc) tl
-        | _ -> None)
-    in
-    go [] l)
+    let xs = List.filter_map f l in
+    if List.compare_lengths xs l = 0 then Some xs else None)
 
-let json_rats j =
-  Option.bind (Jsonlite.to_list j) (fun l ->
-    let rec go acc = function
-      | [] -> Some (Array.of_list (List.rev acc))
-      | x :: tl -> (
-        match Option.bind (Jsonlite.to_str x) Rat.of_string_opt with
-        | Some r -> go (r :: acc) tl
-        | None -> None)
+let json_int x =
+  match Jsonlite.to_num x with
+  | Some f when Float.is_integer f && Float.abs f < 1e18 -> Some (int_of_float f)
+  | _ -> None
+
+let json_ints j = Option.map Array.of_list (json_list json_int j)
+
+let rec ascending cmp = function
+  | a :: (b :: _ as rest) -> cmp a b && ascending cmp rest
+  | _ -> true
+
+(* A restored ladder of tiles (a shared tile is a ladder of one) is kept
+   only if its key is exactly the one [rekey] builds from the spec and
+   capacities the key names, and each level fits that spec: one entry
+   per loop, 1 <= t_i <= L_i, a total footprint within its capacity, and
+   no smaller than the level inside it. *)
+let valid_tiles ~field ~rekey k ts =
+  match Memo.spec_of_key k with
+  | Error _ -> false
+  | Ok (spec, fields) -> (
+    let fits t m =
+      Array.length t = Spec.num_loops spec
+      && Array.for_all2 (fun ti l -> 1 <= ti && ti <= l) t spec.Spec.bounds
+      && Tiling.total_footprint spec t <= m
     in
-    go [] l)
+    match List.assoc_opt field fields with
+    | None -> false
+    | Some v ->
+      let caps = List.filter_map int_of_string_opt (String.split_on_char ',' v) in
+      caps <> []
+      && List.for_all (fun m -> m >= 2) caps
+      && ascending ( < ) caps
+      && String.equal (rekey spec caps) k
+      && List.length ts = List.length caps
+      && List.for_all2 fits ts caps
+      && ascending (Array.for_all2 ( <= )) ts)
+
+let valid_shared k t =
+  valid_tiles ~field:"m" k [ t ] ~rekey:(fun spec caps ->
+    snd (key_of_request spec ~m:(List.hd caps)))
+
+let valid_nested =
+  valid_tiles ~field:"ms" ~rekey:(fun spec caps ->
+    nested_key spec ~capacities:(Array.of_list caps))
 
 let cache_restore text =
   match Jsonlite.parse text with
@@ -660,35 +675,20 @@ let cache_restore text =
       let keyed f e =
         match Jsonlite.str_member "k" e with None -> false | Some k -> f k e
       in
-      each "lp"
-        (keyed (fun k e ->
-           match
-             ( Option.bind (Jsonlite.member "lambda" e) json_rats,
-               Option.bind (Jsonlite.str_member "value" e) Rat.of_string_opt,
-               Option.bind (Jsonlite.member "dual" e) json_rats )
-           with
-           | Some lambda, Some value, Some dual ->
-             Memo.add lp_cache k { Tiling.lambda; value; dual };
-             true
-           | _ -> false));
       each "shared"
         (keyed (fun k e ->
            match Option.bind (Jsonlite.member "t" e) json_ints with
-           | Some t ->
+           | Some t when valid_shared k t ->
              Memo.add shared_cache k t;
              true
-           | None -> false));
+           | _ -> false));
       each "nested"
         (keyed (fun k e ->
-           match Jsonlite.list_member "ts" e with
-           | None -> false
-           | Some ts_json ->
-             let ts = List.map json_ints ts_json in
-             if List.for_all Option.is_some ts then begin
-               Memo.add nested_cache k (List.map Option.get ts);
-               true
-             end
-             else false));
+           match Option.bind (Jsonlite.member "ts" e) (json_list json_ints) with
+           | Some ts when valid_nested k ts ->
+             Memo.add nested_cache k ts;
+             true
+           | _ -> false));
       each "plans" (fun e ->
         match Tiling_plan.of_json e with
         | Ok p ->

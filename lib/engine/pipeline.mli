@@ -243,17 +243,25 @@ val reset_caches : unit -> unit
 
 (** {1 Cache persistence}
 
-    The durable memo tables — LP solutions, shared tiles, nested tilings
-    and compiled plans — serialize to a
-    versioned JSON snapshot so a restarted daemon or a fresh replica
-    boots warm ({!Cache_store} handles the file I/O; the serve CLI's
-    [--cache-dir] wires both ends). Rationals travel as exact strings
-    and entries in sorted key order, so
-    [snapshot -> restore -> snapshot] is byte-identical. *)
+    The durable memo tables — shared tiles, nested tilings and compiled
+    plans — serialize to a versioned JSON snapshot so a restarted daemon
+    or a fresh replica boots warm ({!Cache_store} handles the file I/O;
+    the serve CLI's [--cache-dir] wires both ends). The LP memo is not
+    written: a plan answers LP (5.1) for every point of its shape with
+    no solve. Entries go out in sorted key order, so
+    [snapshot -> restore -> snapshot] is byte-identical.
+
+    Restore recompiles and checks rather than trusts: each plan is
+    recompiled from its ["shape"] key ({!Tiling_plan.of_json}), and a
+    tile is kept only if its key is exactly the one this engine would
+    look up for the spec and capacities it names ({!Memo.spec_of_key}),
+    and it fits them: [d] entries, [1 <= t_i <= L_i], total footprint
+    within the capacity, nested levels non-decreasing outward. *)
 
 val cache_snapshot : ?plans:Tiling_plan.t list -> unit -> string
 (** The current cache contents as one versioned JSON document
-    ([{"v":1, "lp":[...], "shared":[...], "nested":[...], "plans":[...]}]).
+    ([{"v":1, "shared":[...], "nested":[...], "plans":[...]}]; plans
+    written in full by {!Tiling_plan.to_json}).
     With [plans], the plan bundle instead: just those plans, in the
     given order ([{"v":1,"plans":[...]}], what [tilings compile] writes
     and [tilings serve --plans] reads back through {!cache_restore}). *)
@@ -263,7 +271,7 @@ val cache_restore : string -> (int * int, string) result
     [Ok (loaded, rejected)] on success, where [rejected] counts
     malformed entries that were skipped — corruption is tolerated
     per-entry (a damaged snapshot means a colder boot, never a dead
-    process); existing entries are never overwritten. Unknown sections
-    (such as the ["basis"] section of snapshots from older builds) are
-    ignored and count as neither. [Error _] only
-    for an unparseable document or a version mismatch. *)
+    process); existing entries are never overwritten. Sections this
+    build does not read (["lp"] and ["basis"] in older snapshots) are
+    ignored and count as neither. [Error _] only for an unparseable
+    document or a version mismatch. *)

@@ -114,3 +114,24 @@ let theorem2_q spec ~beta ~q =
   Lp.make ~var_names Lp.Minimize obj (reduced @ slack_constrs)
 
 let s_hbl spec = (Simplex.solve_exn (hbl spec)).Simplex.objective
+
+let partition_footprint spec ~ell ~target =
+  let d = Spec.num_loops spec in
+  if Array.length ell <> d then invalid_arg "Hbl_lp.partition_footprint: ell arity mismatch";
+  let phi = Spec.support_matrix spec in
+  (* Variables: u then mu_1..mu_d. *)
+  let row name f rel rhs = Lp.constr ~name (Array.init (d + 1) f) rel rhs in
+  let is_u v = if v = 0 then Rat.one else Rat.zero in
+  let fit j (a : Spec.array_ref) =
+    row ("fit_" ^ a.Spec.aname) (fun v -> if v = 0 then Rat.one else Rat.of_int (-phi.(j).(v - 1)))
+      Lp.Ge Rat.zero
+  in
+  let loop i =
+    row ("loop_" ^ spec.Spec.loops.(i)) (fun v -> if v = i + 1 then Rat.one else Rat.zero) Lp.Le ell.(i)
+  in
+  Lp.make
+    ~var_names:(Array.append [| "u" |] (Array.map (( ^ ) "mu_") spec.Spec.loops))
+    Lp.Minimize (Array.init (d + 1) is_u)
+    ((row "cover" (fun v -> Rat.sub Rat.one (is_u v)) Lp.Ge target
+     :: Array.to_list (Array.mapi fit spec.Spec.arrays))
+    @ List.init d loop)

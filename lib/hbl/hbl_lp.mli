@@ -44,5 +44,14 @@ val theorem2_q : Spec.t -> beta:Rat.t array -> q:int list -> Lp.t
     theorem can certify for this [Q]. Variables: [s_1..s_n] then one [t_j]
     per element of [Q] (in the order given). *)
 
+val partition_footprint : Spec.t -> ell:Rat.t array -> target:Rat.t -> Lp.t
+(** LP (5.1) in logs ([mu = lambda ln F], [u = ln F]), for the
+    partition lower bound: [min u] subject to [sum_i mu_i >= target],
+    [u - sum_{i in supp j} mu_i >= 0] per array and [mu_i <= ell_i] per
+    loop, in that row order. Variables: [u] then [mu_1..mu_d]. Its
+    optimal dual over the target row's multiplier is a point of the dual
+    polyhedron of {!Tiling_plan}; see THEORY.md.
+    @raise Invalid_argument if [ell] has the wrong arity. *)
+
 val s_hbl : Spec.t -> Rat.t
 (** Optimal value of {!hbl} — the exponent [sum s_i] of Section 3. *)

@@ -30,19 +30,73 @@ let render_row mode support =
   Printf.sprintf "%s:%s" (string_of_mode mode)
     (String.concat "," (List.map string_of_int (Array.to_list support)))
 
+let render_rows (spec : Spec.t) =
+  Array.to_list spec.Spec.arrays
+  |> List.map (fun (a : Spec.array_ref) -> render_row a.Spec.mode a.Spec.support)
+  |> List.sort String.compare
+  |> String.concat "|"
+
 let shape_key (spec : Spec.t) =
-  let rows =
-    Array.to_list spec.Spec.arrays
-    |> List.map (fun (a : Spec.array_ref) -> render_row a.Spec.mode a.Spec.support)
-    |> List.sort String.compare
+  Printf.sprintf "d=%d;A=%s" (Spec.num_loops spec) (render_rows spec)
+
+(* ------------------------------------------------------------------ *)
+(* Key parsing                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Past these sizes no shape fits [enumeration_budget] below: every loop
+   sits in some support, so level k alone offers at least 1 + (d - k)
+   candidate bases, and 631 loops already need 200,027 of them. Rows are
+   capped at the budget too. The parser refuses both before allocating
+   anything sized by them. *)
+let max_loops = 630
+let max_rows = 200_000
+
+let nat s =
+  if s = "" || String.length s > 18 || not (String.for_all (fun c -> c >= '0' && c <= '9') s)
+  then None
+  else Some (int_of_string s)
+
+(* Range, order and use of the loop indices are Spec.create's checks; the
+   final comparison refuses anything the renderer would not have written
+   (unsorted rows or supports, a leading zero), so a key parses to
+   exactly one shape. *)
+let spec_of_rows ~bounds rows =
+  let d = Array.length bounds in
+  let row j text =
+    match String.split_on_char ':' text with
+    | [ m; idx ] ->
+      let sup = if idx = "" then [] else List.map nat (String.split_on_char ',' idx) in
+      let mode = List.assoc_opt m [ ("r", Spec.Read); ("w", Spec.Write); ("u", Spec.Update) ] in
+      if mode = None || List.mem None sup then Error (Printf.sprintf "bad row %S" text)
+      else Ok (Spec.array_ref ?mode (Printf.sprintf "A%d" j) (List.map Option.get sup))
+    | _ -> Error (Printf.sprintf "bad row %S" text)
   in
-  Printf.sprintf "d=%d;A=%s" (Spec.num_loops spec) (String.concat "|" rows)
+  if d < 1 || d > max_loops then Error (Printf.sprintf "d = %d outside [1, %d]" d max_loops)
+  else if String.fold_left (fun n c -> if c = '|' then n + 1 else n) 0 rows >= max_rows then
+    Error (Printf.sprintf "more than %d rows" max_rows)
+  else
+    let arrays = List.mapi row (String.split_on_char '|' rows) in
+    match List.find_opt Result.is_error arrays with
+    | Some (Error msg) -> Error msg
+    | _ -> (
+      let arrays = Array.of_list (List.map Result.get_ok arrays) in
+      match Spec.create ~name:"shape" ~loops:(Array.init d (Printf.sprintf "x%d")) ~bounds ~arrays with
+      | Error e -> Error (Spec.string_of_error e)
+      | Ok spec when String.equal (render_rows spec) rows -> Ok spec
+      | Ok _ -> Error (Printf.sprintf "rows %S are not canonical" rows))
+
+let spec_of_shape_key key =
+  match String.split_on_char ';' key with
+  | [ dpart; apart ]
+    when String.starts_with ~prefix:"d=" dpart && String.starts_with ~prefix:"A=" apart -> (
+    match nat (String.sub dpart 2 (String.length dpart - 2)) with
+    | Some d when d >= 1 && d <= max_loops ->
+      spec_of_rows ~bounds:(Array.make d 1) (String.sub apart 2 (String.length apart - 2))
+    | _ -> Error (Printf.sprintf "shape key %S: d must be an integer in [1, %d]" key max_loops))
+  | _ -> Error (Printf.sprintf "shape key %S is not d=N;A=rows" key)
 
 let key t = t.key
-let dims t = (t.d, Array.length t.supports)
-let num_pieces t = List.length t.levels.(0)
 let pieces t = List.map (fun v -> (Array.fold_left Rat.add Rat.zero v.vs, v.vz)) t.levels.(0)
-let num_vertices t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.levels
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                        *)
@@ -62,6 +116,7 @@ let binomial n k =
 (* Candidate (S, T) pairs across all levels; each costs one |S| x |S|
    exact solve, so this bounds compile time directly. *)
 let enumeration_budget = 200_000.0
+let table_budget = 64.0 *. enumeration_budget
 
 let candidate_count ~d ~per_level_arrays =
   let total = ref 0.0 in
@@ -124,50 +179,43 @@ let enumerate_level ~(supports : int array array) ~d ~k =
   let suffix = Array.init dk (fun i -> k + i) in
   let seen = Hashtbl.create 64 in
   let out = ref [] in
-  let emit s_full =
-    let z =
-      Array.map
-        (fun i ->
-          let cover = ref Rat.zero in
-          for j = 0 to n - 1 do
-            if mem_support i supports.(j) then cover := Rat.add !cover s_full.(j)
-          done;
-          Rat.max Rat.zero (Rat.sub Rat.one !cover))
-        suffix
+  (* A vertex is fixed by its nonzero s entries (its zetas are forced),
+     so they key the dedupe, and only a new vertex is built. *)
+  let emit sel_s sv =
+    let nz = List.filter (fun c -> Rat.sign sv.(c) <> 0) (List.init (Array.length sel_s) Fun.id) in
+    let key =
+      String.concat "," (List.map (fun c -> Printf.sprintf "%d=%s" sel_s.(c) (Rat.to_string sv.(c))) nz)
     in
-    let render =
-      String.concat ","
-        (Array.to_list (Array.map Rat.to_string s_full)
-        @ Array.to_list (Array.map Rat.to_string z))
-    in
-    if not (Hashtbl.mem seen render) then begin
-      Hashtbl.add seen render ();
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      let s_full = Array.make n Rat.zero in
+      List.iter (fun c -> s_full.(sel_s.(c)) <- sv.(c)) nz;
+      let z =
+        Array.map
+          (fun i ->
+            let cover =
+              List.fold_left
+                (fun acc c -> if mem_support i supports.(sel_s.(c)) then Rat.add acc sv.(c) else acc)
+                Rat.zero nz
+            in
+            Rat.max Rat.zero (Rat.sub Rat.one cover))
+          suffix
+      in
       out := { vs = s_full; vz = z } :: !out
     end
   in
   for m = 0 to min (Array.length js) dk do
     iter_subsets js m (fun sel_s ->
       iter_subsets suffix m (fun sel_t ->
-        if m = 0 then emit (Array.make n Rat.zero)
+        if m = 0 then emit [||] [||]
         else begin
           let a =
             Mat.init m m (fun r c ->
               if mem_support sel_t.(r) supports.(sel_s.(c)) then Rat.one else Rat.zero)
           in
           match Mat.solve a (Vec.make m Rat.one) with
-          | None -> ()
-          | Some sv ->
-            let ok = ref true in
-            for c = 0 to m - 1 do
-              if Rat.sign sv.(c) < 0 then ok := false
-            done;
-            if !ok then begin
-              let s_full = Array.make n Rat.zero in
-              for c = 0 to m - 1 do
-                s_full.(sel_s.(c)) <- sv.(c)
-              done;
-              emit s_full
-            end
+          | Some sv when Array.for_all (fun x -> Rat.sign x >= 0) sv -> emit sel_s sv
+          | _ -> ()
         end))
   done;
   List.sort compare_vertex !out
@@ -194,6 +242,15 @@ let compile (spec : Spec.t) =
          "Tiling_plan.compile: shape too large for plan compilation (~%.0f candidate \
           bases, budget %.0f)"
          candidates enumeration_budget);
+  (* Each candidate may also store a vertex of n + d - k entries: d = 1
+     with 10^5 one-loop rows passes the count but would fill 10^10. *)
+  let entries = candidates *. float_of_int (Array.length supports + d) in
+  if entries > table_budget then
+    invalid_arg
+      (Printf.sprintf
+         "Tiling_plan.compile: shape too large for plan compilation (~%.0f vertex-table \
+          entries, budget %.0f)"
+         entries table_budget);
   let levels =
     Array.init (d + 1) (fun k ->
       if k = d then [] else enumerate_level ~supports ~d ~k)
@@ -342,123 +399,12 @@ let to_json t =
   Buffer.contents buf
 
 let of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let* key =
-    match Jsonlite.str_member "shape" json with
-    | Some s -> Ok s
-    | None -> fail "plan: missing \"shape\""
-  in
-  let* d =
-    match Jsonlite.num_member "d" json with
-    | Some f when Float.is_integer f && f >= 1.0 && f < 1e6 -> Ok (int_of_float f)
-    | _ -> fail "plan: \"d\" must be a positive integer"
-  in
-  let* supports_json =
-    match Jsonlite.list_member "supports" json with
-    | Some l -> Ok l
-    | None -> fail "plan: missing \"supports\""
-  in
-  let parse_support v =
-    match v with
-    | Jsonlite.Arr items ->
-      let rec go acc last = function
-        | [] -> Ok (Array.of_list (List.rev acc))
-        | Jsonlite.Num f :: rest when Float.is_integer f ->
-          let i = int_of_float f in
-          if i < 0 || i >= d then fail "plan: support index out of range"
-          else if i <= last then fail "plan: support indices must be strictly increasing"
-          else go (i :: acc) i rest
-        | _ -> fail "plan: support entries must be integers"
-      in
-      go [] (-1) items
-    | _ -> fail "plan: each support must be an array"
-  in
-  let* supports =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        let* s = parse_support v in
-        Ok (s :: acc))
-      (Ok []) supports_json
-    |> Result.map (fun l -> Array.of_list (List.rev l))
-  in
-  let n = Array.length supports in
-  if n = 0 then fail "plan: needs at least one array"
-  else
-    let parse_rats label expected v =
-      match v with
-      | Jsonlite.Arr items ->
-        if List.length items <> expected then fail "plan: %s has wrong arity" label
-        else
-          List.fold_left
-            (fun acc item ->
-              let* acc = acc in
-              match item with
-              | Jsonlite.Str s -> (
-                match Rat.of_string_opt s with
-                | Some r when Rat.sign r >= 0 -> Ok (r :: acc)
-                | Some _ -> fail "plan: %s entries must be non-negative" label
-                | None -> fail "plan: %s entry %S is not a rational" label s)
-              | _ -> fail "plan: %s entries must be rational strings" label)
-            (Ok []) items
-          |> Result.map (fun l -> Array.of_list (List.rev l))
-      | _ -> fail "plan: %s must be an array" label
-    in
-    let parse_vertex ~k v =
-      match v with
-      | Jsonlite.Obj _ ->
-        let* vs =
-          match Jsonlite.member "s" v with
-          | Some s -> parse_rats "vertex \"s\"" n s
-          | None -> fail "plan: vertex missing \"s\""
-        in
-        let* vz =
-          match Jsonlite.member "z" v with
-          | Some z -> parse_rats "vertex \"z\"" (d - k) z
-          | None -> fail "plan: vertex missing \"z\""
-        in
-        (* Dual feasibility over the suffix: a vertex violating it could
-           price a residual problem below its true value and corrupt
-           answers silently. *)
-        let feasible = ref true in
-        for i = k to d - 1 do
-          let cover = ref vz.(i - k) in
-          for j = 0 to n - 1 do
-            if mem_support i supports.(j) then cover := Rat.add !cover vs.(j)
-          done;
-          if Rat.compare !cover Rat.one < 0 then feasible := false
-        done;
-        if not !feasible then fail "plan: infeasible vertex at level %d" k
-        else Ok { vs; vz }
-      | _ -> fail "plan: vertices must be objects"
-    in
-    let* levels_json =
-      match Jsonlite.list_member "levels" json with
-      | Some l -> Ok l
-      | None -> fail "plan: missing \"levels\""
-    in
-    if List.length levels_json <> d + 1 then fail "plan: expected %d levels" (d + 1)
-    else
-      let* levels =
-        List.fold_left
-          (fun acc (k, v) ->
-            let* acc = acc in
-            match v with
-            | Jsonlite.Arr items ->
-              let* verts =
-                List.fold_left
-                  (fun acc item ->
-                    let* acc = acc in
-                    let* vx = parse_vertex ~k item in
-                    Ok (vx :: acc))
-                  (Ok []) items
-              in
-              Ok (List.rev verts :: acc)
-            | _ -> fail "plan: each level must be an array")
-          (Ok [])
-          (List.mapi (fun k v -> (k, v)) levels_json)
-        |> Result.map (fun l -> Array.of_list (List.rev l))
-      in
-      if levels.(0) = [] then fail "plan: level 0 must be non-empty"
-      else Ok { key; d; supports; levels }
+  match Jsonlite.str_member "shape" json with
+  | None -> Error "plan: missing \"shape\""
+  | Some key -> (
+    match spec_of_shape_key key with
+    | Error msg -> Error ("plan: " ^ msg)
+    | Ok spec -> (
+      match compile spec with
+      | plan -> Ok plan
+      | exception Invalid_argument msg -> Error ("plan: " ^ msg)))

@@ -42,11 +42,31 @@ type t
 (** A compiled plan for one kernel shape. Immutable. *)
 
 val shape_key : Spec.t -> string
-(** Canonical shape key: loop count plus the sorted (mode, support)
-    rows, with absolute 0-based loop indices — {!Memo.key_of_spec}
+(** Canonical shape key [d=N;A=]{!render_rows}: {!Memo.key_of_spec}
     without the bounds prefix. Two specs with equal keys have identical
     support structure and share one plan (loop/array names and bounds do
     not appear). *)
+
+(** {1 Key rows}
+
+    Every engine key embeds the row format this module owns: one
+    [mode:i,j,...] row per array ([r], [w] or [u], absolute 0-based loop
+    indices), sorted and joined by [|]. *)
+
+val render_rows : Spec.t -> string
+
+val max_loops : int
+(** 630: no shape with more loops fits the compile budget, so key
+    parsers refuse one before allocating anything sized by it. *)
+
+val spec_of_rows : bounds:int array -> string -> (Spec.t, string) result
+(** The spec (generated names, [d = length bounds]) whose {!render_rows}
+    is exactly this text, else [Error]: a bad mode, an index [>= d], a
+    repeated or out-of-order index, an unused loop, [d] outside
+    [[1, max_loops]] or more than 200,000 rows. *)
+
+val spec_of_shape_key : string -> (Spec.t, string) result
+(** Inverse of {!shape_key} (all bounds 1), as strict as {!spec_of_rows}. *)
 
 val compile : Spec.t -> t
 (** Enumerate the [d+1] suffix dual-polyhedron vertex sets for this
@@ -55,20 +75,13 @@ val compile : Spec.t -> t
     milliseconds.
     @raise Invalid_argument (message containing ["shape too large"],
     classified as [Engine_error.Shape_too_large]) when the candidate
-    count exceeds an enumeration budget. This is the only enumeration
-    budget: {!Closed_form.compute} inherits the refusal. *)
+    count exceeds an enumeration budget, or the vertex tables those
+    candidates could fill (candidates times [n + d]) exceed 64 times it.
+    This is the only enumeration budget: {!Closed_form.compute} inherits
+    the refusal. *)
 
 val key : t -> string
 (** The {!shape_key} this plan was compiled for. *)
-
-val dims : t -> int * int
-(** [(d, n)]: loop and array counts of the shape. *)
-
-val num_pieces : t -> int
-(** Vertices of the full (level-0) dual polyhedron = unpruned pieces of
-    the closed form. Every piece {!Closed_form.compute} keeps appears
-    here; this set additionally retains pieces minimal only outside the
-    box. *)
 
 val pieces : t -> (Rat.t * Rat.t array) list
 (** The level-0 vertices as affine functions of [beta]:
@@ -77,17 +90,12 @@ val pieces : t -> (Rat.t * Rat.t array) list
     {!Closed_form.compute} sorts, dedupes and box-prunes exactly this
     list. *)
 
-val num_vertices : t -> int
-(** Total stored vertices across all [d+1] levels. *)
-
 val answer : t -> beta:Rat.t array -> Rat.t array * Rat.t
 (** [answer t ~beta] is [(lambda, value)]: the lexicographically maximal
     optimal solution of LP (5.1) and its objective [sum lambda_i],
     exact, for any [beta >= 0] (in or out of the closed form's box).
     Matches {!Tiling.solve_lp_lexmax} bit-for-bit.
-    @raise Invalid_argument on arity mismatch or negative [beta].
-    @raise Failure if the plan's vertex sets are inconsistent with the
-    greedy elimination (possible only for a hand-edited plan file). *)
+    @raise Invalid_argument on arity mismatch or negative [beta]. *)
 
 val value : t -> beta:Rat.t array -> Rat.t
 (** The optimal exponent alone: one vertex-minimum, [O(pieces * (d+n))]
@@ -114,6 +122,8 @@ val to_json : t -> string
     (no trailing newline). *)
 
 val of_json : Jsonlite.t -> (t, string) result
-(** Parse and validate one plan object: arity checks, rational parses,
-    non-negativity, and dual feasibility of every stored vertex. Accepts
-    exactly what {!to_json} emits. *)
+(** [compile] of the shape named by the object's ["shape"] key
+    ({!spec_of_shape_key}). A plan is a function of its shape alone, so
+    the stored vertex tables are a readable record, never input: an
+    edited or truncated table cannot change an answer. [Error] for a
+    missing or malformed key or a shape [compile] refuses. *)

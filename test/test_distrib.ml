@@ -125,6 +125,20 @@ let test_min_footprint_monotone () =
   Alcotest.(check bool) "monotone" true (f2 >= f1);
   Alcotest.(check (float 0.01)) "trivial" 1.0 (Comm_model.min_footprint spec ~iterations:1.0)
 
+(* Exact powers used to land one word high (257 for 256) or, at p = 1,
+   far off (989 for nbody 256^2 against 768 words). *)
+let test_lower_bound_exact_powers () =
+  let lb name spec ~p expect =
+    Alcotest.(check (float 0.0)) name expect (Comm_model.lower_bound spec ~p)
+  in
+  lb "matmul 64^3, p = 1" (Kernels.matmul ~l1:64 ~l2:64 ~l3:64) ~p:1 4096.0;
+  lb "matmul 64^3, p = 64" (Kernels.matmul ~l1:64 ~l2:64 ~l3:64) ~p:64 256.0;
+  lb "matmul 64^3, p = 8" (Kernels.matmul ~l1:64 ~l2:64 ~l3:64) ~p:8 1024.0;
+  lb "nbody 256^2, p = 1" (Kernels.nbody ~l1:256 ~l2:256) ~p:1 256.0;
+  lb "nbody 1024x4, p = 1" (Kernels.nbody ~l1:1024 ~l2:4) ~p:1 1024.0;
+  lb "outer product 128^2, p = 1" (Kernels.outer_product ~m:128 ~n:128) ~p:1 16384.0;
+  lb "one iteration per processor" (Kernels.nbody ~l1:4 ~l2:4) ~p:16 1.0
+
 let test_min_footprint_matches_hk () =
   (* Large-bounds matmul: V iterations need footprint ~ V^(2/3)
      (Hong-Kung / Irony-Toledo-Tiskin shape). *)
@@ -385,18 +399,60 @@ let props =
             (List.init p (fun i -> i + 1))
         in
         Partition.grids spec ~p = brute);
-    QCheck.Test.make ~name:"grid costs bounded below by the LB" ~count:50
+    QCheck.Test.make ~name:"grid costs bounded below by the LB" ~count:80
       (QCheck.make
-         ~print:(fun (l, p) -> Printf.sprintf "L=%d P=%d" l p)
-         QCheck.Gen.(pair (int_range 8 64) (oneofl [ 2; 4; 8; 16 ])))
-      (fun (l, p) ->
-        let spec = Kernels.matmul ~l1:l ~l2:l ~l3:l in
+         ~print:(fun (k, l, p) -> Printf.sprintf "kernel=%d L=%d P=%d" k l p)
+         QCheck.Gen.(triple (int_range 0 3) (int_range 8 64) (oneofl [ 1; 2; 4; 8; 16 ])))
+      (fun (k, l, p) ->
+        let spec =
+          match k with
+          | 0 -> Kernels.matmul ~l1:l ~l2:l ~l3:l
+          | 1 -> Kernels.nbody ~l1:l ~l2:(l + 3)
+          | 2 -> Kernels.three_body ~l1:l ~l2:(l + 1) ~l3:(l + 2)
+          | _ -> Kernels.outer_product ~m:l ~n:(2 * l)
+        in
         let lb = Comm_model.lower_bound spec ~p in
         List.for_all
           (fun grid ->
             (* the per-array bound can't exceed the summed footprint *)
-            Bigint.to_float (Comm_model.cost spec ~grid).Comm_model.words >= lb *. 0.999)
+            Bigint.to_float (Comm_model.cost spec ~grid).Comm_model.words >= lb)
           (Partition.grids spec ~p));
+    (* the one LP reads off the binding vertex of Section 7's polyhedron:
+       the same rounding of the largest (I / prod L_i^zeta_i)^(1/sigma)
+       over the plan's pieces with sigma > 0 *)
+    QCheck.Test.make ~name:"LB = max over the plan's pieces" ~count:150
+      (QCheck.make
+         ~print:(fun (k, bounds, p) ->
+           Printf.sprintf "preset=%d bounds=[%s] P=%d" k
+             (String.concat "," (List.map string_of_int bounds)) p)
+         QCheck.Gen.(
+           triple (int_range 0 9) (list_repeat 5 (int_range 1 300))
+             (oneofl [ 1; 2; 3; 4; 8; 64; 1000 ])))
+      (fun (k, bounds, p) ->
+        let base = snd (List.nth (Kernels.all ()) k) in
+        let spec =
+          Spec.with_bounds base
+            (Array.of_list (List.filteri (fun i _ -> i < Spec.num_loops base) bounds))
+        in
+        let ln_l = Array.map (fun l -> log (float_of_int l)) spec.Spec.bounds in
+        let ln_i = Array.fold_left ( +. ) 0.0 ln_l -. log (float_of_int p) in
+        let expected =
+          if ln_i <= 0.0 then 1.0
+          else
+            List.fold_left
+              (fun acc (sigma, zeta) ->
+                if Rat.sign sigma <= 0 then acc
+                else begin
+                  let z = ref 0.0 in
+                  Array.iteri (fun i zi -> z := !z +. (Rat.to_float zi *. ln_l.(i))) zeta;
+                  Float.max acc (Float.exp ((ln_i -. !z) /. Rat.to_float sigma))
+                end)
+              1.0
+              (Tiling_plan.pieces (Tiling_plan.compile spec))
+            |> fun f -> Float.max 1.0 (Float.ceil (f *. (1.0 -. 1e-9)))
+        in
+        let lb = Comm_model.lower_bound spec ~p in
+        lb = expected || QCheck.Test.fail_reportf "lower_bound %.17g, pieces give %.17g" lb expected);
     QCheck.Test.make ~name:"block covers iteration share" ~count:50
       (QCheck.make
          ~print:(fun (l, p) -> Printf.sprintf "L=%d P=%d" l p)
@@ -432,6 +488,7 @@ let () =
           Alcotest.test_case "lower bound sane" `Quick test_lower_bound_sane;
           Alcotest.test_case "min footprint monotone" `Quick test_min_footprint_monotone;
           Alcotest.test_case "Hong-Kung shape" `Quick test_min_footprint_matches_hk;
+          Alcotest.test_case "exact powers" `Quick test_lower_bound_exact_powers;
           Alcotest.test_case "simulated = analytic cost" `Quick test_simulated_cost_matches_analytic;
           Alcotest.test_case "block groups" `Quick test_block_groups;
           Alcotest.test_case "processor simulation regimes" `Quick test_simulate_processor_regimes;

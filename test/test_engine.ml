@@ -352,13 +352,15 @@ let test_cache_restore_tolerates_corruption () =
   (match Pipeline.cache_restore "{\"v\":99,\"lp\":[]}" with
   | Ok _ -> Alcotest.fail "future version accepted"
   | Error _ -> ());
-  (* Per-entry damage must not poison the rest: the bad lp value and the
-     keyless shared entry are rejected individually, the good nested
-     entry loads. *)
+  (* Per-entry damage must not poison the rest: the keyless shared entry
+     and the shared tile past its loop bound are rejected individually,
+     the good nested entry loads, and the "lp" section (no longer read)
+     counts as neither. *)
   let mixed =
     "{\"v\":1,"
     ^ "\"lp\":[{\"k\":\"K1\",\"lambda\":[\"1/2\"],\"value\":\"bogus\",\"dual\":[\"0\"]}],"
-    ^ "\"shared\":[{\"t\":[4,4]}],\"nested\":[{\"k\":\"N1\",\"ts\":[[2,2]]}],"
+    ^ "\"shared\":[{\"t\":[4,4]},{\"k\":\"L=48,48;A=r:0|r:1|u:0;b=240743/301739,240743/301739;m=128\",\"t\":[1,49]}],"
+    ^ "\"nested\":[{\"k\":\"L=16,16,16;A=r:0,1|r:1,2|u:0,2;ms=32,256\",\"ts\":[[2,2,4],[8,8,8]]}],"
     ^ "\"plans\":[]}"
   in
   (match Pipeline.cache_restore mixed with
@@ -366,6 +368,74 @@ let test_cache_restore_tolerates_corruption () =
   | Ok (loaded, rejected) ->
     Alcotest.(check int) "good entry loaded" 1 loaded;
     Alcotest.(check int) "damaged entries rejected" 2 rejected);
+  Pipeline.reset_caches ()
+
+(* Restored tiles are checked against the spec their key names. The
+   matmul m = 64 tile edited to [0,8,1] used to be installed and then
+   failed every optimal simulation of that request with invalid_spec. *)
+let test_cache_restore_rejects_poisoned_tiles () =
+  let mode0 = Pipeline.plan_mode () in
+  Pipeline.set_plan_mode Pipeline.Plan_inline;
+  Pipeline.reset_caches ();
+  fill_caches ();
+  let snap = Pipeline.cache_snapshot () in
+  let replace ~sub ~by text =
+    match Astring.String.cut ~sep:sub text with
+    | Some (a, b) -> a ^ by ^ b
+    | None -> Alcotest.failf "fixture lacks %s" sub
+  in
+  let mm64 = "m=64\",\"t\":[4,8,1]" in
+  let nested = "\"ts\":[[2,2,4],[8,8,8]]" in
+  List.iter
+    (fun (label, poisoned) ->
+      Pipeline.reset_caches ();
+      match Pipeline.cache_restore poisoned with
+      | Error msg -> Alcotest.failf "%s: refused outright: %s" label msg
+      | Ok (_, rejected) -> Alcotest.(check int) (label ^ ": one entry rejected") 1 rejected)
+    [
+      ("zero extent", replace ~sub:mm64 ~by:"m=64\",\"t\":[0,8,1]" snap);
+      ("short tile", replace ~sub:mm64 ~by:"m=64\",\"t\":[4,8]" snap);
+      ("past the bound", replace ~sub:mm64 ~by:"m=64\",\"t\":[25,8,1]" snap);
+      ("over the capacity", replace ~sub:mm64 ~by:"m=64\",\"t\":[8,8,8]" snap);
+      ("key with another m", replace ~sub:mm64 ~by:"m=640\",\"t\":[4,8,1]" snap);
+      ("nested shrinking outward", replace ~sub:nested ~by:"\"ts\":[[2,2,4],[2,2,2]]" snap);
+      ("nested over its level", replace ~sub:nested ~by:"\"ts\":[[2,2,4],[16,16,16]]" snap);
+      ("nested level missing", replace ~sub:nested ~by:"\"ts\":[[2,2,4]]" snap);
+      ("nested ladder reversed", replace ~sub:"ms=32,256" ~by:"ms=256,32" snap);
+    ];
+  (* the zero-extent snapshot again: the request it poisoned now simulates,
+     and the drain writes the recomputed tile back, not the edited one *)
+  Pipeline.reset_caches ();
+  ignore (Pipeline.cache_restore (replace ~sub:mm64 ~by:"m=64\",\"t\":[0,8,1]" snap));
+  let r =
+    ok
+      (Pipeline.run_checked
+         (Pipeline.request ~sims:Pipeline.[ sim Optimal ] (Kernels.matmul ~l1:24 ~l2:24 ~l3:24) ~m:64))
+  in
+  Alcotest.(check (option (array int))) "recomputed shared tile" (Some [| 4; 8; 1 |]) r.Report.tile_shared;
+  Alcotest.(check bool) "drain saves the good tile" true
+    (Astring.String.is_infix ~affix:mm64 (Pipeline.cache_snapshot ()));
+  Pipeline.set_plan_mode mode0;
+  Pipeline.reset_caches ()
+
+(* Truncated at any byte, a snapshot or plan bundle is an Error or a
+   partial load, never an exception. *)
+let test_cache_restore_truncated () =
+  let golden =
+    In_channel.with_open_bin "golden/cache_snapshot_with_basis.json" In_channel.input_all
+  in
+  let bundle =
+    Pipeline.cache_snapshot ~plans:(List.map (fun (_, spec) -> Tiling_plan.compile spec) (Kernels.all ())) ()
+  in
+  List.iter
+    (fun (label, doc) ->
+      for len = 0 to String.length doc - 1 do
+        Pipeline.reset_caches ();
+        match Pipeline.cache_restore (String.sub doc 0 len) with
+        | Ok _ | Error _ -> ()
+        | exception e -> Alcotest.failf "%s cut at byte %d raised %s" label len (Printexc.to_string e)
+      done)
+    [ ("golden snapshot", golden); ("compile --all bundle", bundle) ];
   Pipeline.reset_caches ()
 
 (* A snapshot written before the warm-start basis memo was removed: the
@@ -384,17 +454,17 @@ let test_cache_restore_snapshot_with_basis () =
   (match Pipeline.cache_restore old with
   | Error msg -> Alcotest.failf "restore failed: %s" msg
   | Ok (loaded, rejected) ->
-    Alcotest.(check int) "every lp/shared/nested/plan entry loaded"
-      (count "lp" + count "shared" + count "nested" + count "plans")
+    Alcotest.(check int) "every shared/nested/plan entry loaded"
+      (count "shared" + count "nested" + count "plans")
       loaded;
-    Alcotest.(check int) "basis entries not rejected" 0 rejected);
-  let basis_start = Astring.String.find_sub ~sub:",\"basis\":[" old |> Option.get in
-  let basis_end = Astring.String.find_sub ~start:basis_start ~sub:",\"shared\":[" old |> Option.get in
-  let without_basis =
-    String.sub old 0 basis_start ^ String.sub old basis_end (String.length old - basis_end)
+    Alcotest.(check int) "lp and basis entries not rejected" 0 rejected);
+  let lp_start = Astring.String.find_sub ~sub:",\"lp\":[" old |> Option.get in
+  let lp_end = Astring.String.find_sub ~start:lp_start ~sub:",\"shared\":[" old |> Option.get in
+  let without_lp_and_basis =
+    String.sub old 0 lp_start ^ String.sub old lp_end (String.length old - lp_end)
   in
-  Alcotest.(check string) "re-snapshot = old snapshot minus its basis section" without_basis
-    (Pipeline.cache_snapshot ());
+  Alcotest.(check string) "re-snapshot = old snapshot minus its lp and basis sections"
+    without_lp_and_basis (Pipeline.cache_snapshot ());
   let s0 = Obs.snapshot () in
   fill_caches ();
   let d = Obs.diff s0 (Obs.snapshot ()) in
@@ -594,6 +664,9 @@ let () =
             test_cache_restore_tolerates_corruption;
           Alcotest.test_case "snapshot with basis section" `Quick
             test_cache_restore_snapshot_with_basis;
+          Alcotest.test_case "poisoned tiles rejected" `Quick
+            test_cache_restore_rejects_poisoned_tiles;
+          Alcotest.test_case "truncated at every byte" `Quick test_cache_restore_truncated;
         ] );
       ( "report",
         [

@@ -153,23 +153,87 @@ let test_json_roundtrip () =
       Kernels.mttkrp ~i:8 ~j:8 ~k:8 ~r:4;
     ]
 
-let test_json_rejects_corruption () =
+(* The level-0 vertex (s = (1/2,1/2,1/2), zeta = 0) prices matmul's
+   large-bounds regime; a bundle without it used to serve a lower bound
+   of 0.25 words at m = 2^20 and "plan inconsistent" at m = 64. *)
+let matmul_half_vertex = {|{"s":["1/2","1/2","1/2"],"z":["0","0","0"]}|}
+
+let delete_vertex json =
+  match Astring.String.cut ~sep:("," ^ matmul_half_vertex) json with
+  | Some (a, b) -> a ^ b
+  | None -> Alcotest.fail "matmul plan lacks its (1/2,1/2,1/2) vertex"
+
+let test_json_levels_ignored () =
   let plan = Tiling_plan.compile (Kernels.matmul ~l1:8 ~l2:8 ~l3:8) in
   let json = Tiling_plan.to_json plan in
-  let expect_error label doc =
-    match Jsonlite.parse doc with
-    | Error _ -> ()
-    | Ok j -> (
-      match Tiling_plan.of_json j with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "%s: corrupted plan accepted" label)
+  List.iter
+    (fun (label, doc) ->
+      match Result.bind (Jsonlite.parse doc) Tiling_plan.of_json with
+      | Error msg -> Alcotest.failf "%s: rejected (%s)" label msg
+      | Ok p -> Alcotest.(check string) (label ^ ": recompiled plan") json (Tiling_plan.to_json p))
+    [
+      ("deleted vertex", delete_vertex json);
+      ("negative rational", Astring.String.cuts ~sep:"\"1\"" json |> String.concat "\"-1\"");
+      ("wrong d", Astring.String.cuts ~sep:"\"d\":3" json |> String.concat "\"d\":2");
+      ("shape alone", Printf.sprintf "{\"shape\":%s}" (Jsonlite.quote (Tiling_plan.key plan)));
+    ]
+
+let test_tampered_bundle_answers () =
+  let plan = Tiling_plan.compile (Kernels.matmul ~l1:64 ~l2:64 ~l3:64) in
+  let bundle = Pipeline.cache_snapshot ~plans:[ plan ] () in
+  let serve doc =
+    Pipeline.reset_caches ();
+    (match Pipeline.cache_restore doc with
+    | Ok (1, 0) -> ()
+    | Ok (l, r) -> Alcotest.failf "restore: %d loaded, %d rejected" l r
+    | Error msg -> Alcotest.failf "restore: %s" msg);
+    List.map
+      (fun m ->
+        match Pipeline.run_checked (Pipeline.request (Kernels.matmul ~l1:64 ~l2:64 ~l3:64) ~m) with
+        | Ok r -> Report.to_json ~timings:false r
+        | Error e -> "error:" ^ Engine_error.to_string e)
+      [ 64; 1048576 ]
   in
-  expect_error "not an object" "[1,2,3]";
-  expect_error "missing levels" "{\"shape\":\"x\",\"d\":2,\"supports\":[[0],[1]]}";
-  expect_error "negative rational"
-    (Astring.String.cuts ~sep:"\"1\"" json |> String.concat "\"-1\"");
-  expect_error "truncated levels"
-    (Astring.String.cuts ~sep:"\"d\":3" json |> String.concat "\"d\":2")
+  let clean = serve bundle in
+  let tampered = serve (delete_vertex bundle) in
+  Pipeline.reset_caches ();
+  Alcotest.(check (list string)) "deleted-vertex bundle answers byte-identically" clean tampered;
+  List.iter
+    (fun r ->
+      if Astring.String.is_prefix ~affix:"error:" r then Alcotest.failf "request failed: %s" r)
+    clean
+
+(* ------------------------------------------------------------------ *)
+(* Shape keys                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let shape_round_trips spec =
+  let key = Tiling_plan.shape_key spec in
+  match Tiling_plan.spec_of_shape_key key with
+  | Error msg -> QCheck.Test.fail_reportf "%s rejected: %s" key msg
+  | Ok parsed ->
+    Spec.equal_shape spec parsed
+    && String.equal key (Tiling_plan.shape_key parsed)
+    &&
+    match Memo.spec_of_key (Memo.key_of_spec spec ^ ";m=64") with
+    | Ok (s, [ ("m", "64") ]) -> Spec.equal_shape spec s && s.Spec.bounds = spec.Spec.bounds
+    | _ -> false
+
+let test_preset_shape_keys () =
+  List.iter
+    (fun (name, spec) ->
+      Alcotest.(check bool) (name ^ " key parses back") true (shape_round_trips spec))
+    (Kernels.all ())
+
+let props =
+  [
+    QCheck.Test.make ~name:"shape key parses back to the same shape" ~count:300
+      QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+      (fun seed ->
+        match rand_spec (Random.State.make [| seed |]) with
+        | None -> QCheck.assume_fail ()
+        | Some spec -> shape_round_trips spec);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Oversized shapes                                                    *)
@@ -190,6 +254,40 @@ let big_spec () =
     ~loops:(Array.init d (fun i -> Printf.sprintf "x%d" i))
     ~bounds:(Array.make d 2) ~arrays
 
+let test_json_rejects_corruption () =
+  let expect_error label doc =
+    match Jsonlite.parse doc with
+    | Error _ -> ()
+    | Ok j -> (
+      match Tiling_plan.of_json j with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: corrupted plan accepted" label)
+  in
+  let shape label key = expect_error label (Printf.sprintf "{\"shape\":%s}" (Jsonlite.quote key)) in
+  expect_error "not an object" "[1,2,3]";
+  expect_error "missing shape" "{\"d\":2,\"supports\":[[0],[1]],\"levels\":[[],[],[]]}";
+  expect_error "shape not a string" "{\"shape\":3}";
+  shape "not a key" "x";
+  shape "bad mode letter" "d=2;A=r:0|x:1";
+  shape "index >= d" "d=2;A=r:0|r:2";
+  shape "non-increasing support" "d=2;A=r:1,0";
+  shape "repeated index" "d=2;A=r:0,0|r:1";
+  shape "d < 1" "d=0;A=r:0";
+  shape "missing d" "A=r:0|r:1";
+  shape "missing rows" "d=2";
+  shape "empty key" "";
+  shape "unused loop" "d=3;A=r:0|r:1";
+  shape "unsorted rows" "d=2;A=r:1|r:0";
+  shape "leading zero" "d=2;A=r:0|r:01";
+  shape "signed index" "d=2;A=r:0|r:+1";
+  shape "trailing field" "d=2;A=r:0|r:1;b=1";
+  shape "oversized d" "d=99999999999999;A=r:0";
+  shape "d past the cap" (Printf.sprintf "d=%d;A=r:0" (Tiling_plan.max_loops + 1));
+  shape "d overflows int" "d=999999999999999999999999;A=r:0";
+  shape "too many rows" ("d=1;A=" ^ String.concat "|" (List.init 200_001 (fun _ -> "r:0")));
+  (* the shape parses, but compile refuses it as too large *)
+  shape "too large to compile" (Tiling_plan.shape_key (big_spec ()))
+
 let test_shape_too_large () =
   let spec = big_spec () in
   match Tiling_plan.compile spec with
@@ -201,6 +299,31 @@ let test_shape_too_large () =
       Alcotest.(check int) "exit code" 11 (Engine_error.exit_code e)
     | Some e -> Alcotest.failf "classified as %s" (Engine_error.code e)
     | None -> Alcotest.fail "not classified at all")
+
+(* A restored bundle names its shape in a few bytes, so compile must stay
+   cheap on wide shapes: one array over 200 loops compiles in about
+   0.1 s (5 s when every candidate rescanned every support), and 5000
+   one-loop rows, under the candidate budget but with 25M vertex-table
+   entries, are refused before anything is built. *)
+let test_wide_shapes () =
+  let key_of ~d ~n =
+    Printf.sprintf "d=%d;A=%s" d
+      (String.concat "|" (List.init n (fun _ -> "r:" ^ String.concat "," (List.init d string_of_int))))
+  in
+  let compile key =
+    match Tiling_plan.spec_of_shape_key key with
+    | Ok spec -> Tiling_plan.compile spec
+    | Error msg -> Alcotest.failf "%s" msg
+  in
+  let t0 = Unix.gettimeofday () in
+  let plan = compile (key_of ~d:200 ~n:1) in
+  Alcotest.(check int) "two vertices at level 0" 2 (List.length (Tiling_plan.pieces plan));
+  Alcotest.(check bool) "compiles in under 2.5 s" true (Unix.gettimeofday () -. t0 < 2.5);
+  match compile (key_of ~d:1 ~n:5000) with
+  | _ -> Alcotest.fail "5000-row shape compiled"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "refused as too large" true
+      (Astring.String.is_infix ~affix:"shape too large" msg)
 
 let test_plan_of_negative_cache () =
   Pipeline.reset_caches ();
@@ -341,11 +464,18 @@ let () =
         [
           Alcotest.test_case "round-trip is the identity" `Quick test_json_roundtrip;
           Alcotest.test_case "corrupted bundles rejected" `Quick test_json_rejects_corruption;
+          Alcotest.test_case "stored levels ignored" `Quick test_json_levels_ignored;
+          Alcotest.test_case "deleted-vertex bundle answers unchanged" `Quick
+            test_tampered_bundle_answers;
         ] );
+      ( "shapekeys",
+        Alcotest.test_case "every preset round-trips" `Quick test_preset_shape_keys
+        :: List.map QCheck_alcotest.to_alcotest props );
       ( "limits",
         [
           Alcotest.test_case "shape_too_large classification" `Quick test_shape_too_large;
           Alcotest.test_case "plan_of caches the refusal" `Quick test_plan_of_negative_cache;
+          Alcotest.test_case "wide shapes" `Quick test_wide_shapes;
         ] );
       ( "pipeline",
         [
