@@ -531,13 +531,9 @@ let serve_cmd =
       | Error msg -> fail "%s" msg
       | Ok () ->
         Obs.Log.set_level log_level;
-        (* The daemon defers plan compilation to batch boundaries: a new
-           shape is answered on the LP path first, its plan compiles after
-           the responses flush (Serve's warm-up contract). Preloaded plans
-           skip even that first LP round. A plan bundle is a cache snapshot
-           holding only plans, so it loads through the snapshot reader; a
-           bundle with any malformed plan fails startup. *)
-        Pipeline.set_plan_mode Pipeline.Plan_deferred;
+        (* A plan bundle is a cache snapshot holding only plans, so it
+           loads through the snapshot reader; a bundle with any malformed
+           plan fails startup. *)
         Option.iter
           (fun file ->
             let refuse msg =

@@ -55,14 +55,13 @@ let staged name tm f = Obs.Trace.with_span name (fun () -> Obs.time tm f)
 (* ------------------------------------------------------------------ *)
 
 (* A compiled Tiling_plan answers every (beta, m) for its shape with
-   pure rational arithmetic, so the plan cache sits in front of the
-   (spec, beta)-keyed LP memo: a plan hit never touches the LP stage at
-   all. Both paths return the lexicographically maximal optimum
-   (Tiling.solve_lp_lexmax), so reports are byte-identical whichever
-   served them. Shapes whose plan compilation is refused (enumeration
-   budget) are negative-cached and permanently served by the LP path. *)
-
-type plan_mode = Plan_inline | Plan_deferred
+   pure rational arithmetic, so the plan is the analysis: the first
+   request for a shape compiles its plan and every request, that first
+   one included, is answered from it without touching the LP stage. The
+   plan returns the lexicographically maximal optimum, exactly the one
+   Tiling.solve_lp_lexmax returns. Shapes whose plan compilation is
+   refused (enumeration budget) are negative-cached and permanently
+   served by the LP path. *)
 
 type plan_entry = Plan_ready of Tiling_plan.t | Plan_failed of string
 
@@ -70,32 +69,12 @@ let plan_cache : plan_entry Memo.t = Memo.create ~name:"plan" ()
 let t_plan_compile = Obs.timer "plan.compile"
 let c_plan_fallbacks = Obs.counter "plan.lp_fallbacks"
 
-let plan_mode_state = Atomic.make Plan_inline
-let set_plan_mode m = Atomic.set plan_mode_state m
-let plan_mode () = Atomic.get plan_mode_state
+(* Kept only for perfbench/replay.ml; no effect. *)
+type plan_mode = Plan_deferred
 
-(* Shapes seen while in Plan_deferred mode, waiting for a batch-boundary
-   compile (serve drains this on the Pool after responding). *)
-let pending_lock = Mutex.create ()
-let pending_shapes : (string, Spec.t) Hashtbl.t = Hashtbl.create 16
-
-let note_pending key spec =
-  Mutex.lock pending_lock;
-  if not (Hashtbl.mem pending_shapes key) then Hashtbl.add pending_shapes key spec;
-  Mutex.unlock pending_lock
-
-let take_pending () =
-  Mutex.lock pending_lock;
-  let l = Hashtbl.fold (fun k s acc -> (k, s) :: acc) pending_shapes [] in
-  Hashtbl.reset pending_shapes;
-  Mutex.unlock pending_lock;
-  List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2) l |> List.map snd
-
-let pending_count () =
-  Mutex.lock pending_lock;
-  let n = Hashtbl.length pending_shapes in
-  Mutex.unlock pending_lock;
-  n
+let set_plan_mode (_ : plan_mode) = ()
+let compile_pending ?jobs:_ () = 0
+let pending_count () = 0
 
 let compile_entry spec =
   match staged "plan.compile" t_plan_compile (fun () -> Tiling_plan.compile spec) with
@@ -104,56 +83,34 @@ let compile_entry spec =
 
 let install_plan p = Memo.add plan_cache (Tiling_plan.key p) (Plan_ready p)
 
-let compile_and_install spec =
-  let entry = compile_entry spec in
-  Memo.add plan_cache (Memo.key_of_shape spec) entry;
-  entry
-
-let compile_pending ?jobs () =
-  match take_pending () with
-  | [] -> 0
-  | specs ->
-    let entries = Pool.map_list ?jobs (fun spec -> (Memo.key_of_shape spec, compile_entry spec)) specs in
-    List.iter (fun (key, entry) -> Memo.add plan_cache key entry) entries;
-    List.length entries
-
 let plan_of spec =
   let key = Memo.key_of_shape spec in
-  let of_entry = function
-    | Plan_ready p -> Ok p
-    | Plan_failed msg -> Error (Engine_error.Shape_too_large { detail = msg })
+  let entry =
+    match Memo.find_opt plan_cache key with
+    | Some entry -> entry
+    | None ->
+      let entry = compile_entry spec in
+      Memo.add plan_cache key entry;
+      entry
   in
-  match Memo.find_opt plan_cache key with
-  | Some entry -> of_entry entry
-  | None -> of_entry (compile_and_install spec)
-
-let lp_lexmax spec ~beta =
-  Memo.find_or_add lp_cache (Memo.key_of_spec_beta spec ~beta) (fun () ->
-    Tiling.solve_lp_lexmax spec ~beta)
+  match entry with
+  | Plan_ready p -> Ok p
+  | Plan_failed msg -> Error (Engine_error.Shape_too_large { detail = msg })
 
 (* The canonical optimum plus the pricing function the bound reads: the
-   plan's vertex minimum when the plan serves, a certified LP otherwise. *)
+   plan's vertex minimum, or a certified LP for a refused shape. *)
 let priced_lp spec ~beta =
   staged "pipeline.solve_lp" t_lp (fun () ->
-    let key = Memo.key_of_shape spec in
-    let lp_price beta = Tiling.lp_value spec ~beta in
-    match Memo.find_opt plan_cache key with
-    | Some (Plan_ready plan) ->
+    match plan_of spec with
+    | Ok plan ->
       let lambda, value = Tiling_plan.answer plan ~beta in
       ( { Tiling.lambda; value; dual = Tiling_plan.dual plan spec ~beta },
         fun beta -> Tiling_plan.value plan ~beta )
-    | Some (Plan_failed _) ->
+    | Error _ ->
       Obs.incr c_plan_fallbacks;
-      (lp_lexmax spec ~beta, lp_price)
-    | None ->
-      (* Answer this request on the LP path, then make the shape's plan
-         available for every later size: inline right now, or at the
-         next batch boundary when deferred. *)
-      let sol = lp_lexmax spec ~beta in
-      (match plan_mode () with
-      | Plan_inline -> ignore (compile_and_install spec)
-      | Plan_deferred -> note_pending key spec);
-      (sol, lp_price))
+      ( Memo.find_or_add lp_cache (Memo.key_of_spec_beta spec ~beta) (fun () ->
+          Tiling.solve_lp_lexmax spec ~beta),
+        fun beta -> Tiling.lp_value spec ~beta ))
 
 let solve_lp spec ~beta = fst (priced_lp spec ~beta)
 
@@ -718,7 +675,4 @@ let reset_caches () =
   Memo.clear shared_cache;
   Memo.clear nested_cache;
   Memo.clear plan_cache;
-  Memo.clear partition_cache;
-  Mutex.lock pending_lock;
-  Hashtbl.reset pending_shapes;
-  Mutex.unlock pending_lock
+  Memo.clear partition_cache

@@ -101,55 +101,41 @@ val sim_iteration_limit : int
 
     A compiled {!Tiling_plan.t} answers every [(beta, m)] request for
     its kernel {e shape} with pure rational arithmetic — zero simplex
-    solves. The pipeline keeps a shape-keyed plan cache (Obs counters
-    [memo.plan.hits]/[memo.plan.misses]) in front of the
-    [(spec, beta)]-keyed LP memo; both the plan path and the LP fallback
-    return the lexicographically maximal optimum
-    ({!Tiling.solve_lp_lexmax}), so reports are byte-identical whichever
-    path served them. Compilation of one shape is timed under
-    [plan.compile]. *)
-
-type plan_mode =
-  | Plan_inline
-      (** the default: a plan miss answers via the LP, then compiles and
-          installs the shape's plan before returning, so every later
-          size of that shape is plan-served *)
-  | Plan_deferred
-      (** a plan miss answers via the LP and only {e queues} the shape;
-          {!compile_pending} builds queued plans later (serve drains the
-          queue on the Pool at batch boundaries, keeping compilation out
-          of request latency). Until {!compile_pending} runs, every
-          request for a queued shape is answered on the LP path — which
-          is how tests and the bench obtain LP-served reports to compare
-          against plan-served ones *)
-
-val set_plan_mode : plan_mode -> unit
-val plan_mode : unit -> plan_mode
+    solves. The analysis is plan-first: the first request for a shape
+    compiles its plan (timed under [plan.compile]) and is answered from
+    it, like every later request for that shape (Obs counters
+    [memo.plan.hits]/[memo.plan.misses]). The plan returns the
+    lexicographically maximal optimum, exactly what
+    {!Tiling.solve_lp_lexmax} returns. Only a shape whose compilation is
+    refused ([Shape_too_large]) is answered by that LP, memoized per
+    [(spec, beta)]; each such answer counts one [plan.lp_fallbacks]. *)
 
 val plan_of : Spec.t -> (Tiling_plan.t, Engine_error.t) result
-(** The shape's plan, compiling and installing it on first use
-    regardless of mode. [Error (Shape_too_large _)] when the shape
-    exceeds the enumeration budget (the failure is negative-cached:
-    analysis requests for the shape keep working on the LP path). *)
+(** The shape's plan, compiling and installing it on first use.
+    [Error (Shape_too_large _)] when the shape exceeds the enumeration
+    budget (the failure is negative-cached: analysis requests for the
+    shape keep working on the LP path). *)
 
 val install_plan : Tiling_plan.t -> unit
 (** Seed the plan cache (e.g. from a [--plans] file at serve startup).
     First writer wins; installing never evicts. *)
 
+type plan_mode = Plan_deferred  (** Kept only for perfbench/replay.ml; no effect. *)
+
+val set_plan_mode : plan_mode -> unit
+(** Kept only for perfbench/replay.ml; no effect. *)
+
 val compile_pending : ?jobs:int -> unit -> int
-(** Compile every shape queued under [Plan_deferred] in parallel on the
-    {!Pool} and install the results; returns how many shapes were
-    processed. Safe to call concurrently with request traffic. *)
+(** Kept only for perfbench/replay.ml; no effect: returns 0. *)
 
 val pending_count : unit -> int
-(** Queued-but-uncompiled shapes (diagnostics). *)
+(** Kept only for perfbench/replay.ml; no effect: returns 0. *)
 
 (** {1 Memoized stages, usable a la carte} *)
 
 val solve_lp : Spec.t -> beta:Rat.t array -> Tiling.lp_solution
-(** The canonical (lex-max) optimum for this [(spec, beta)]: plan-served
-    when the shape's plan is installed, LP otherwise (per
-    {!plan_mode}). *)
+(** The canonical (lex-max) optimum for this [(spec, beta)]: plan-served,
+    or by the LP when the shape's plan compilation is refused. *)
 
 val lower_bound : Spec.t -> m:int -> Lower_bound.bound
 (** Priced by the path that served [lambda]: {!Tiling_plan.value} (no

@@ -101,6 +101,14 @@ let communication spec ~m ~beta ~price ~lambda ~k_hat =
   in
   { exponent; m; iterations; tile_cap; words; words_paper; words_classic; trivial_words }
 
+let equal a b =
+  Rat.equal a.exponent.k_hat b.exponent.k_hat
+  && a.exponent.witness_q = b.exponent.witness_q
+  && a.m = b.m
+  && List.for_all2 Float.equal
+       [ a.iterations; a.tile_cap; a.words; a.words_paper; a.words_classic; a.trivial_words ]
+       [ b.iterations; b.tile_cap; b.words; b.words_paper; b.words_classic; b.trivial_words ]
+
 let pp_bound fmt b =
   Format.fprintf fmt
     "@[<v>cache M = %d words@,iterations = %.4g@,tile-size cap M^k = %.4g (k = %a = %.4f)@,\

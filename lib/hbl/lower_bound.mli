@@ -87,4 +87,8 @@ val communication :
     exactly when [k_hat = s_HBL], and a function of [f] and [lambda]
     alone, so the plan and LP paths agree on it. *)
 
+val equal : bound -> bound -> bool
+(** Field-for-field equality: [k_hat] and [witness_q] exactly, the
+    floats bit for bit. *)
+
 val pp_bound : Format.formatter -> bound -> unit

@@ -29,7 +29,6 @@ let c_overloaded = Obs.counter "serve.rejected_overloaded"
 let c_connections = Obs.counter "serve.connections"
 let c_batch_max = Obs.counter "serve.batch_size_max"
 let c_queue_max = Obs.counter "serve.queue_depth_max"
-let c_plan_compiles = Obs.counter "serve.plan_compiles"
 let t_batch = Obs.timer "serve.batch"
 let t_request = Obs.timer "serve.request"
 
@@ -340,13 +339,7 @@ let process cfg admitted rejected =
       ("admitted", `I n_admitted);
       ("rejected", `I n_rejected);
       ("ms", `F (1e3 *. (Unix.gettimeofday () -. batch_t0)));
-    ];
-  (* Shapes this batch met for the first time (Plan_deferred mode) were
-     answered on the LP path; compile their plans now, on the pool,
-     after every response line is already out — the batch never waits on
-     plan compilation, the next one starts warm. *)
-  let compiled = Pipeline.compile_pending ~jobs:cfg.jobs () in
-  if compiled > 0 then Obs.incr ~by:compiled c_plan_compiles
+    ]
 
 let serve ?(stop = fun () -> false) cfg ~next ~emit =
   let session = new_session () in

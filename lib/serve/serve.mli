@@ -31,13 +31,12 @@
       no request is half-answered.
     - {b Isolation}: a malformed or failing request yields an error
       response; the loop keeps serving.
-    - {b Plan warm-up}: the daemon runs the pipeline in
-      [Plan_deferred] mode (set by the CLI): the first batch touching a
-      new kernel shape is answered on the LP path, then — after its
-      responses are flushed — the shape's {!Tiling_plan} compiles on the
-      pool and installs, so subsequent batches are plan-served with zero
-      simplex solves. [--plans FILE] preloads compiled plans at startup
-      and skips even the first LP round for those shapes.
+    - {b Plan warm-up}: the first request touching a new kernel shape
+      compiles its {!Tiling_plan} and is answered from it
+      ({!Pipeline.plan_of}), so no request for a compilable shape
+      solves a tiling LP. [--plans FILE] preloads
+      compiled plans at startup and skips even the first compile for
+      those shapes.
 
     - {b Correlation}: every response carries a non-null ["id"] —
       the client's own when it sent one (echoed byte-for-byte), a
@@ -55,7 +54,7 @@
     [serve.responses], [serve.batches], [serve.errors],
     [serve.parse_errors], [serve.deadline_exceeded],
     [serve.rejected_overloaded], [serve.connections] (total accepted),
-    [serve.plan_compiles], high-watermarks
+    high-watermarks
     [serve.batch_size_max] / [serve.queue_depth_max] / [serve.pool_jobs],
     gauges [serve.queue_depth] (depth of the batch cycle being worked,
     0 between batches) with its per-class split

@@ -317,9 +317,23 @@ let fill_caches () =
     ];
   ignore (Pipeline.hierarchy (Kernels.matmul ~l1:16 ~l2:16 ~l3:16) ~capacities:[| 32; 256 |])
 
+(* Refill from restored caches, returning the counters that show what
+   had to be recomputed: LP-memo misses, plan compiles and shared-tile
+   search nodes. A restore that stopped installing plans or tiles makes
+   one of them non-zero. *)
+let refill_after_restore () =
+  let s0 = Obs.snapshot () in
+  fill_caches ();
+  let d = Obs.diff s0 (Obs.snapshot ()) in
+  let counter n = Option.value ~default:0 (List.assoc_opt n d.Obs.scounters) in
+  let compiles =
+    match List.assoc_opt "plan.compile" d.Obs.stimers with Some t -> t.Obs.tcalls | None -> 0
+  in
+  Alcotest.(check int) "no LP misses after restore" 0 (counter "memo.lp.misses");
+  Alcotest.(check int) "no plan compiles after restore" 0 compiles;
+  Alcotest.(check int) "no shared-tile search after restore" 0 (counter "tiling.search.nodes")
+
 let test_cache_snapshot_roundtrip () =
-  let mode0 = Pipeline.plan_mode () in
-  Pipeline.set_plan_mode Pipeline.Plan_inline;
   Pipeline.reset_caches ();
   fill_caches ();
   let snap1 = Pipeline.cache_snapshot () in
@@ -334,14 +348,9 @@ let test_cache_snapshot_roundtrip () =
      lossless and the on-disk file is deterministic. *)
   Alcotest.(check string) "snapshot byte-stable across restore" snap1
     (Pipeline.cache_snapshot ());
-  (* a restored cache actually serves: the same sweep again must not
-     touch the LP solver *)
-  let s0 = Obs.snapshot () in
-  fill_caches ();
-  let d = Obs.diff s0 (Obs.snapshot ()) in
-  let counter n = Option.value ~default:0 (List.assoc_opt n d.Obs.scounters) in
-  Alcotest.(check int) "no LP misses after restore" 0 (counter "memo.lp.misses");
-  Pipeline.set_plan_mode mode0;
+  (* a restored cache actually serves: the same sweep again compiles no
+     plan and searches no tile *)
+  refill_after_restore ();
   Pipeline.reset_caches ()
 
 let test_cache_restore_tolerates_corruption () =
@@ -374,8 +383,6 @@ let test_cache_restore_tolerates_corruption () =
    matmul m = 64 tile edited to [0,8,1] used to be installed and then
    failed every optimal simulation of that request with invalid_spec. *)
 let test_cache_restore_rejects_poisoned_tiles () =
-  let mode0 = Pipeline.plan_mode () in
-  Pipeline.set_plan_mode Pipeline.Plan_inline;
   Pipeline.reset_caches ();
   fill_caches ();
   let snap = Pipeline.cache_snapshot () in
@@ -415,7 +422,6 @@ let test_cache_restore_rejects_poisoned_tiles () =
   Alcotest.(check (option (array int))) "recomputed shared tile" (Some [| 4; 8; 1 |]) r.Report.tile_shared;
   Alcotest.(check bool) "drain saves the good tile" true
     (Astring.String.is_infix ~affix:mm64 (Pipeline.cache_snapshot ()));
-  Pipeline.set_plan_mode mode0;
   Pipeline.reset_caches ()
 
 (* Truncated at any byte, a snapshot or plan bundle is an Error or a
@@ -448,8 +454,6 @@ let test_cache_restore_snapshot_with_basis () =
   let json = match Jsonlite.parse old with Ok j -> j | Error msg -> Alcotest.fail msg in
   let count name = List.length (Option.get (Jsonlite.list_member name json)) in
   Alcotest.(check bool) "fixture carries basis entries" true (count "basis" > 0);
-  let mode0 = Pipeline.plan_mode () in
-  Pipeline.set_plan_mode Pipeline.Plan_inline;
   Pipeline.reset_caches ();
   (match Pipeline.cache_restore old with
   | Error msg -> Alcotest.failf "restore failed: %s" msg
@@ -465,12 +469,7 @@ let test_cache_restore_snapshot_with_basis () =
   in
   Alcotest.(check string) "re-snapshot = old snapshot minus its lp and basis sections"
     without_lp_and_basis (Pipeline.cache_snapshot ());
-  let s0 = Obs.snapshot () in
-  fill_caches ();
-  let d = Obs.diff s0 (Obs.snapshot ()) in
-  Alcotest.(check int) "no LP misses after restore" 0
-    (Option.value ~default:0 (List.assoc_opt "memo.lp.misses" d.Obs.scounters));
-  Pipeline.set_plan_mode mode0;
+  refill_after_restore ();
   Pipeline.reset_caches ()
 
 (* ------------------------------------------------------------------ *)

@@ -698,14 +698,6 @@ let props =
           Lower_bound.communication spec ~m ~beta ~lambda:lp.Tiling.lambda
             ~k_hat:lp.Tiling.value ~price:(fun beta -> Tiling.lp_value spec ~beta)
         in
-        let same_bound (a : Lower_bound.bound) (b : Lower_bound.bound) =
-          Rat.equal a.exponent.k_hat b.exponent.k_hat
-          && a.exponent.witness_q = b.exponent.witness_q
-          && a.m = b.m
-          && List.for_all2 Float.equal
-               [ a.iterations; a.tile_cap; a.words; a.words_paper; a.words_classic; a.trivial_words ]
-               [ b.iterations; b.tile_cap; b.words; b.words_paper; b.words_classic; b.trivial_words ]
-        in
         let q = by_plan.Lower_bound.exponent.Lower_bound.witness_q in
         let k_q q = Lower_bound.k_of_q spec ~beta ~q in
         let classic =
@@ -713,7 +705,7 @@ let props =
           *. Float.exp
                (Rat.to_float (Rat.sub Rat.one (Hbl_lp.s_hbl spec)) *. log (float_of_int m))
         in
-        same_bound by_plan by_lp
+        Lower_bound.equal by_plan by_lp
         && Rat.equal (k_q q) k_hat
         && List.for_all (fun i -> Rat.compare (k_q (List.filter (( <> ) i) q)) k_hat > 0) q
         && Float.equal by_plan.Lower_bound.words_classic classic

@@ -343,11 +343,27 @@ let test_plan_of_negative_cache () =
   Pipeline.reset_caches ()
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline integration: modes, byte identity, miss collapse           *)
+(* Pipeline integration: first touch = the LP oracle, zero LP solves   *)
 (* ------------------------------------------------------------------ *)
 
 let c_lp_misses = Obs.counter "memo.lp.misses"
 let c_plan_hits = Obs.counter "memo.plan.hits"
+
+(* The reference every plan-served answer must reproduce: the lex-max
+   optimum of LP (5.1) and the bound priced by the certified LP value. *)
+let oracle spec ~m =
+  let beta = Lower_bound.beta_of_bounds ~m spec.Spec.bounds in
+  let sol = Tiling.solve_lp_lexmax spec ~beta in
+  ( sol,
+    Lower_bound.communication spec ~m ~beta
+      ~price:(fun beta -> Tiling.lp_value spec ~beta)
+      ~lambda:sol.Tiling.lambda ~k_hat:sol.Tiling.value )
+
+let matches_oracle (r : Report.t) =
+  let sol, bound = oracle r.Report.spec ~m:r.Report.m in
+  Rat.equal sol.Tiling.value r.Report.lp.Tiling.value
+  && Array.for_all2 Rat.equal sol.Tiling.lambda r.Report.lp.Tiling.lambda
+  && Lower_bound.equal bound r.Report.bound
 
 let repeat_shape_reqs () =
   let specs =
@@ -358,97 +374,109 @@ let repeat_shape_reqs () =
       Kernels.nbody ~l1:64 ~l2:64;
     ]
   in
-  ( List.concat_map
-      (fun spec ->
-        List.map (fun m -> Pipeline.request ~shared:true spec ~m) [ 64; 256; 1024 ])
-      specs,
-    List.length (List.sort_uniq compare (List.map Memo.key_of_shape specs)) )
+  List.concat_map
+    (fun spec -> List.map (fun m -> Pipeline.request ~shared:true spec ~m) [ 64; 256; 1024 ])
+    specs
 
-let with_mode mode body =
-  let m0 = Pipeline.plan_mode () in
-  Pipeline.set_plan_mode mode;
-  Fun.protect ~finally:(fun () ->
-      Pipeline.set_plan_mode m0;
-      Pipeline.reset_caches ())
-    body
+let test_plan_first_matches_oracle () =
+  Pipeline.reset_caches ();
+  let reqs = repeat_shape_reqs () in
+  let m0 = Obs.value c_lp_misses and h0 = Obs.value c_plan_hits in
+  let results = Pipeline.sweep_checked ~jobs:1 reqs in
+  let misses = Obs.value c_lp_misses - m0 and hits = Obs.value c_plan_hits - h0 in
+  Pipeline.reset_caches ();
+  List.iter2
+    (fun (req : Pipeline.request) -> function
+      | Ok r ->
+        if not (matches_oracle r) then
+          Alcotest.failf "%s m=%d: engine answer differs from the LP oracle"
+            (Memo.key_of_spec req.Pipeline.rspec) req.Pipeline.rm
+      | Error e -> Alcotest.failf "analyze: %s" (Engine_error.code e))
+    reqs results;
+  Alcotest.(check int) "no tiling LP solved, first touches included" 0 misses;
+  Alcotest.(check bool) "later points of a shape hit its plan" true (hits > 0)
 
-let run_reports reqs =
-  List.map
-    (function
-      | Ok r -> Report.to_json ~timings:false r
-      | Error e -> "error:" ^ Engine_error.code e)
-    (Pipeline.sweep_checked ~jobs:1 reqs)
+(* Random projective kernels: d 3..6 loops, n 2..5 arrays, bounds 2..1024
+   and a random m. From cold caches the very first request compiles the
+   shape's plan and must already answer exactly as the LP oracle does. *)
+let arb_first_touch =
+  let open QCheck.Gen in
+  let spec_of supports modes bounds =
+    let d = Array.length bounds in
+    let covered i = List.exists (List.mem i) supports in
+    if not (List.for_all covered (List.init d Fun.id)) then None
+    else
+      let arrays =
+        Array.of_list
+          (List.mapi
+             (fun j (sup, mode) -> Spec.array_ref ~mode (Printf.sprintf "A%d" j) sup)
+             (List.combine supports modes))
+      in
+      Result.to_option
+        (Spec.create ~name:"rand" ~loops:(Array.init d (Printf.sprintf "x%d")) ~bounds ~arrays)
+  in
+  let gen =
+    let* d = int_range 3 6 in
+    let* n = int_range 2 5 in
+    let support bits = List.filter (fun i -> bits land (1 lsl i) <> 0) (List.init d Fun.id) in
+    let* supports = list_repeat n (map support (int_range 1 ((1 lsl d) - 1))) in
+    let* modes = list_repeat n (oneofl [ Spec.Read; Spec.Write; Spec.Update ]) in
+    let* bounds = array_repeat d (int_range 2 1024) in
+    let* m = int_range 2 65536 in
+    return (spec_of supports modes bounds, m)
+  in
+  let print = function
+    | Some spec, m -> Printf.sprintf "%s m=%d" (Memo.key_of_spec spec) m
+    | None, _ -> "uncovered loop"
+  in
+  QCheck.make ~print gen
 
-let test_plan_off_vs_inline_identical () =
-  let reqs, distinct = repeat_shape_reqs () in
-  (* "Off" is Plan_deferred never drained by compile_pending: shapes
-     only queue, so every point is answered on the LP path. *)
-  let off =
-    with_mode Pipeline.Plan_deferred (fun () ->
+let prop_first_touch_is_oracle =
+  QCheck.Test.make ~name:"first-touch answer = LP oracle, zero LP misses" ~count:200
+    arb_first_touch (function
+    | None, _ -> QCheck.assume_fail ()
+    | Some spec, m -> (
+      let m = max m (Spec.num_arrays spec) in
       Pipeline.reset_caches ();
       let m0 = Obs.value c_lp_misses in
-      let r = run_reports reqs in
-      (r, Obs.value c_lp_misses - m0))
-  in
-  let on =
-    with_mode Pipeline.Plan_inline (fun () ->
+      let res = Pipeline.run_checked (Pipeline.request spec ~m) in
+      let misses = Obs.value c_lp_misses - m0 in
       Pipeline.reset_caches ();
-      let m0 = Obs.value c_lp_misses in
-      let h0 = Obs.value c_plan_hits in
-      let r = run_reports reqs in
-      (r, Obs.value c_lp_misses - m0, Obs.value c_plan_hits - h0))
-  in
-  let off_jsons, off_misses = off in
-  let on_jsons, on_misses, on_plan_hits = on in
-  Alcotest.(check (list string)) "reports byte-identical" off_jsons on_jsons;
-  Alcotest.(check int) "plans off: LP missed per point" (List.length reqs) off_misses;
-  Alcotest.(check bool)
-    (Printf.sprintf "plans on: <= 1 LP miss per distinct shape (%d <= %d)" on_misses distinct)
-    true (on_misses <= distinct);
-  Alcotest.(check bool) "plan cache actually hit" true (on_plan_hits > 0)
-
-let test_deferred_compiles_between_batches () =
-  with_mode Pipeline.Plan_deferred (fun () ->
-    Pipeline.reset_caches ();
-    let spec = Kernels.matmul ~l1:48 ~l2:48 ~l3:48 in
-    (* first request: LP-served, shape queued rather than compiled *)
-    (match Pipeline.run_checked (Pipeline.request spec ~m:256) with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "analyze: %s" (Engine_error.code e));
-    Alcotest.(check int) "shape pending after first touch" 1 (Pipeline.pending_count ());
-    Alcotest.(check int) "batch boundary compiles it" 1 (Pipeline.compile_pending ());
-    Alcotest.(check int) "queue drained" 0 (Pipeline.pending_count ());
-    (* an unseen (bounds, M) point of the same shape is now plan-served:
-       no new LP-memo miss *)
-    let m0 = Obs.value c_lp_misses in
-    (match
-       Pipeline.run_checked (Pipeline.request (Kernels.matmul ~l1:96 ~l2:24 ~l3:48) ~m:512)
-     with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "analyze: %s" (Engine_error.code e));
-    Alcotest.(check int) "plan-served: zero LP misses" 0 (Obs.value c_lp_misses - m0))
+      match res with
+      | Error e -> QCheck.Test.fail_reportf "analyze: %s" (Engine_error.to_string e)
+      | Ok r ->
+        if misses <> 0 then QCheck.Test.fail_reportf "%d LP misses on first touch" misses;
+        matches_oracle r))
 
 let test_install_preloaded_plan () =
-  with_mode Pipeline.Plan_deferred (fun () ->
-    Pipeline.reset_caches ();
-    let spec = Kernels.mttkrp ~i:16 ~j:16 ~k:16 ~r:8 in
-    (* simulate `serve --plans`: install a plan decoded from JSON, then
-       even the first request avoids the LP *)
-    let plan =
-      match Jsonlite.parse (Tiling_plan.to_json (Tiling_plan.compile spec)) with
-      | Ok doc -> (
-        match Tiling_plan.of_json doc with
-        | Ok p -> p
-        | Error msg -> Alcotest.failf "of_json: %s" msg)
-      | Error msg -> Alcotest.failf "parse: %s" msg
-    in
-    Pipeline.install_plan plan;
-    let m0 = Obs.value c_lp_misses in
-    (match Pipeline.run_checked (Pipeline.request spec ~m:4096) with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "analyze: %s" (Engine_error.code e));
-    Alcotest.(check int) "first request already plan-served" 0 (Obs.value c_lp_misses - m0);
-    Alcotest.(check int) "nothing queued for compilation" 0 (Pipeline.pending_count ()))
+  Pipeline.reset_caches ();
+  let spec = Kernels.mttkrp ~i:16 ~j:16 ~k:16 ~r:8 in
+  (* simulate `serve --plans`: install a plan decoded from JSON, then
+     even the first request needs no compile *)
+  let plan =
+    match Jsonlite.parse (Tiling_plan.to_json (Tiling_plan.compile spec)) with
+    | Ok doc -> (
+      match Tiling_plan.of_json doc with
+      | Ok p -> p
+      | Error msg -> Alcotest.failf "of_json: %s" msg)
+    | Error msg -> Alcotest.failf "parse: %s" msg
+  in
+  Pipeline.install_plan plan;
+  let s0 = Obs.snapshot () in
+  let r =
+    match Pipeline.run_checked (Pipeline.request spec ~m:4096) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "analyze: %s" (Engine_error.code e)
+  in
+  let d = Obs.diff s0 (Obs.snapshot ()) in
+  Pipeline.reset_caches ();
+  let compiles =
+    match List.assoc_opt "plan.compile" d.Obs.stimers with Some t -> t.Obs.tcalls | None -> 0
+  in
+  Alcotest.(check int) "first request already plan-served" 0
+    (Option.value ~default:0 (List.assoc_opt "memo.lp.misses" d.Obs.scounters));
+  Alcotest.(check int) "no compile for a preloaded shape" 0 compiles;
+  Alcotest.(check bool) "answer = LP oracle" true (matches_oracle r)
 
 let () =
   Alcotest.run "plan"
@@ -479,10 +507,9 @@ let () =
         ] );
       ( "pipeline",
         [
-          Alcotest.test_case "off vs inline: byte identity + miss collapse" `Quick
-            test_plan_off_vs_inline_identical;
-          Alcotest.test_case "deferred: compile between batches" `Quick
-            test_deferred_compiles_between_batches;
+          Alcotest.test_case "first touch = LP oracle, zero LP misses" `Quick
+            test_plan_first_matches_oracle;
           Alcotest.test_case "preloaded plan skips the LP" `Quick test_install_preloaded_plan;
+          QCheck_alcotest.to_alcotest prop_first_touch_is_oracle;
         ] );
     ]

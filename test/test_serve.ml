@@ -588,28 +588,141 @@ let test_loop_version_echo_and_warnings () =
       (warning_fields explicit)
   | _ -> Alcotest.failf "expected 3 responses, got %d" (List.length out)
 
-let test_loop_deferred_warmup () =
-  (* the daemon's contract: under Plan_deferred a batch's new shapes
-     compile after its responses are flushed, so the next batch is
-     plan-served with zero LP misses *)
-  let mode0 = Pipeline.plan_mode () in
-  Pipeline.set_plan_mode Pipeline.Plan_deferred;
-  Fun.protect ~finally:(fun () ->
-      Pipeline.set_plan_mode mode0;
-      Pipeline.reset_caches ())
-  @@ fun () ->
+let timer_calls (d : Obs.snapshot) name =
+  match List.assoc_opt name d.Obs.stimers with Some t -> t.Obs.tcalls | None -> 0
+
+let counter_delta (d : Obs.snapshot) name =
+  Option.value ~default:0 (List.assoc_opt name d.Obs.scounters)
+
+let test_loop_plan_first_warmup () =
+  (* the first request touching a new shape compiles its plan and is
+     answered from it: no tiling LP is solved, not even on first touch,
+     and a later batch at an unseen M needs no compile either *)
   Pipeline.reset_caches ();
-  let c_lp = Obs.counter "memo.lp.misses" in
+  Fun.protect ~finally:Pipeline.reset_caches @@ fun () ->
+  let s0 = Obs.snapshot () in
   let first = run_loop [ Serve.Line (req 0); Eof ] in
+  let d = Obs.diff s0 (Obs.snapshot ()) in
   Alcotest.(check int) "first batch answered" 1 (List.length first);
-  Alcotest.(check int) "its shapes compiled at the batch boundary" 0
-    (Pipeline.pending_count ());
-  let m0 = Obs.value c_lp in
+  Alcotest.(check bool) "ok" true (resp_ok (List.hd first));
+  Alcotest.(check int) "first touch: zero LP misses" 0 (counter_delta d "memo.lp.misses");
+  Alcotest.(check int) "first touch: one compile" 1 (timer_calls d "plan.compile");
+  let s1 = Obs.snapshot () in
   let second =
     run_loop [ Serve.Line {|{"id":"warm","kernel":"matvec","m":4096}|}; Eof ]
   in
+  let d = Obs.diff s1 (Obs.snapshot ()) in
   Alcotest.(check int) "second batch answered" 1 (List.length second);
-  Alcotest.(check int) "unseen M plan-served: zero LP misses" 0 (Obs.value c_lp - m0)
+  Alcotest.(check int) "unseen M: zero LP misses" 0 (counter_delta d "memo.lp.misses");
+  Alcotest.(check int) "unseen M: no compile" 0 (timer_calls d "plan.compile")
+
+let golden_requests () =
+  In_channel.with_open_bin "golden/serve_requests.ndjson" In_channel.input_lines
+
+(* The one LP path left: a shape whose plan compilation is refused. The
+   golden "plan-too-big" kernel (20 loops, 6 arrays, every bound 2) is
+   answered through run_checked on the LP, exactly as the LP oracle
+   answers it; every such answer counts one plan.lp_fallbacks and the
+   refusal is compiled once and negative-cached. *)
+let test_refused_shape_answers_by_lp () =
+  let line =
+    List.find (fun l -> Astring.String.is_infix ~affix:{|"id":"plan-too-big"|} l) (golden_requests ())
+  in
+  let spec =
+    match Request.decode line with
+    | Ok r -> r.Request.spec
+    | Error _ -> Alcotest.fail "golden plan-too-big line does not decode"
+  in
+  Pipeline.reset_caches ();
+  Fun.protect ~finally:Pipeline.reset_caches @@ fun () ->
+  let s0 = Obs.snapshot () in
+  List.iteri
+    (fun i m ->
+      let before = Obs.snapshot () in
+      let r =
+        match Pipeline.run_checked (Pipeline.request spec ~m) with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "analyze m=%d: %s" m (Engine_error.to_string e)
+      in
+      let d = Obs.diff before (Obs.snapshot ()) in
+      Alcotest.(check int)
+        (Printf.sprintf "request %d: one LP fallback" i)
+        1
+        (counter_delta d "plan.lp_fallbacks");
+      let beta = Lower_bound.beta_of_bounds ~m spec.Spec.bounds in
+      let sol = Tiling.solve_lp_lexmax spec ~beta in
+      let bound =
+        Lower_bound.communication spec ~m ~beta
+          ~price:(fun beta -> Tiling.lp_value spec ~beta)
+          ~lambda:sol.Tiling.lambda ~k_hat:sol.Tiling.value
+      in
+      Alcotest.(check bool) (Printf.sprintf "m=%d: lambda = oracle" m) true
+        (Array.for_all2 Rat.equal sol.Tiling.lambda r.Report.lp.Tiling.lambda);
+      Alcotest.(check bool) (Printf.sprintf "m=%d: k_hat = oracle" m) true
+        (Rat.equal sol.Tiling.value r.Report.lp.Tiling.value);
+      Alcotest.(check bool) (Printf.sprintf "m=%d: bound = oracle" m) true
+        (Lower_bound.equal bound r.Report.bound))
+    [ 64; 128; 1024 ];
+  let d = Obs.diff s0 (Obs.snapshot ()) in
+  Alcotest.(check int) "one compile attempt across requests" 1 (timer_calls d "plan.compile");
+  (match Pipeline.plan_of spec with
+  | Error e ->
+    Alcotest.(check string) "plan_of code" "shape_too_large" (Engine_error.code e);
+    Alcotest.(check int) "plan_of exit" 11 (Engine_error.exit_code e)
+  | Ok _ -> Alcotest.fail "plan_of compiled the refused shape");
+  match run_loop [ Serve.Line line; Eof ] with
+  | [ l ] -> Alcotest.(check (option string)) "compile op" (Some "shape_too_large") (resp_error_code l)
+  | out -> Alcotest.failf "expected 1 response, got %d" (List.length out)
+
+(* Byte-mutation fuzz of the serve loop: every golden request under
+   seeded single-byte flips, deletions and truncations. Each mutated line
+   is its own batch and must get exactly one well-formed response (ok
+   plus an id, or an error object), and the loop must still answer a
+   valid request afterwards. *)
+let mutate rng line =
+  let n = String.length line in
+  if n = 0 then line
+  else
+    let i = Random.State.int rng n in
+    match Random.State.int rng 3 with
+    | 0 ->
+      (* a flip to any byte a line can carry: everything but '\n' *)
+      let c = Char.chr (Random.State.int rng 255) in
+      let c = if c = '\n' then '\255' else c in
+      String.mapi (fun j x -> if j = i then c else x) line
+    | 1 -> String.sub line 0 i ^ String.sub line (i + 1) (n - i - 1)
+    | _ -> String.sub line 0 i
+
+let test_loop_mutation_fuzz () =
+  let rng = Random.State.make [| 0x5e7e |] in
+  let mutants =
+    List.concat_map (fun l -> List.init 6 (fun _ -> mutate rng l)) (golden_requests ())
+  in
+  let out =
+    run_loop
+      (List.concat_map (fun l -> [ Serve.Line l; Wait ]) mutants
+      @ [ Serve.Line (req 99); Eof ])
+  in
+  Pipeline.reset_caches ();
+  Alcotest.(check int) "one response per line" (List.length mutants + 1) (List.length out);
+  List.iter2
+    (fun input resp ->
+      match Jsonlite.parse resp with
+      | Error e -> Alcotest.failf "input %S: unparseable response %S: %s" input resp e
+      | Ok j -> (
+        match Jsonlite.member "ok" j with
+        | Some (Jsonlite.Bool true) ->
+          if Jsonlite.str_member "id" j = None then
+            Alcotest.failf "input %S: ok response without id: %s" input resp
+        | Some (Jsonlite.Bool false) ->
+          if Option.bind (Jsonlite.member "error" j) (Jsonlite.str_member "code") = None then
+            Alcotest.failf "input %S: failure without an error code: %s" input resp
+        | _ -> Alcotest.failf "input %S: response without ok: %s" input resp))
+    (mutants @ [ req 99 ])
+    out;
+  let last = List.nth out (List.length mutants) in
+  Alcotest.(check (option string)) "valid request answered afterwards" (Some "r99") (resp_id last);
+  Alcotest.(check bool) "and answered ok" true (resp_ok last)
 
 let test_serve_counters () =
   Obs.reset ();
@@ -810,7 +923,10 @@ let () =
           Alcotest.test_case "partition errors" `Quick test_loop_partition_errors;
           Alcotest.test_case "version echo and warnings" `Quick
             test_loop_version_echo_and_warnings;
-          Alcotest.test_case "deferred warm-up" `Quick test_loop_deferred_warmup;
+          Alcotest.test_case "plan-first warm-up" `Quick test_loop_plan_first_warmup;
+          Alcotest.test_case "refused shape answers by LP" `Quick
+            test_refused_shape_answers_by_lp;
+          Alcotest.test_case "byte-mutation fuzz" `Quick test_loop_mutation_fuzz;
           Alcotest.test_case "report matches engine" `Quick test_report_matches_engine;
           Alcotest.test_case "serve counters" `Quick test_serve_counters;
           Alcotest.test_case "minted ids" `Quick test_minted_ids;
