@@ -32,19 +32,39 @@ let current_words : (string * float) list ref = ref []
 let note label words = current_words := (label, words) :: !current_words
 let note_int label words = note label (fint words)
 
+(* Repeat runs that only steady a measured figure (E19's median over
+   interleaved arm pairs) stay out of the cost accounting: their wall
+   time is not charged to the experiment's seconds and their obs delta
+   is taken out of the JSON's obs totals, so the per-experiment time
+   gate and the aggregate timer gates keep measuring the same workload.
+   (A watermark counter raised by a repeat run reads low by that rise.) *)
+let repeat_seconds = ref 0.0
+let repeat_obs : Obs.snapshot list ref = ref []
+
+let repeat_run f =
+  let s0 = Obs.snapshot () in
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  repeat_seconds := !repeat_seconds +. (Unix.gettimeofday () -. t0);
+  repeat_obs := Obs.diff s0 (Obs.snapshot ()) :: !repeat_obs;
+  r
+
 let experiment id title body =
   Printf.printf "\n==== %s: %s ====\n" id title;
   current_words := [];
+  repeat_seconds := 0.0;
   let t0 = Unix.gettimeofday () in
   body ();
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Unix.gettimeofday () -. t0 -. !repeat_seconds in
   outcomes := { id; title; seconds = dt; words = List.rev !current_words } :: !outcomes;
-  Printf.printf "[%s: %.3f s]\n" id dt
+  if !repeat_seconds > 0.0 then
+    Printf.printf "[%s: %.3f s, plus %.3f s of repeat runs]\n" id dt !repeat_seconds
+  else Printf.printf "[%s: %.3f s]\n" id dt
 
 (* [s0] is the snapshot taken before any experiment ran: the obs section
    is the delta over this bench invocation, not process-lifetime totals
    (the distinction matters once bench is driven as a library or the
-   tables are rerun in-process). *)
+   tables are rerun in-process), less the [repeat_run] deltas. *)
 let write_json ~s0 path =
   let oc = open_out path in
   let hits, misses = Pipeline.cache_stats () in
@@ -53,8 +73,9 @@ let write_json ~s0 path =
   Printf.fprintf oc "{\"v\":%d,\"ts\":%.6f,\"engine_cache\":{" Report.schema_version
     (Unix.gettimeofday ());
   Printf.fprintf oc "\"hits\":%d,\"misses\":%d}," hits misses;
+  let run = Obs.diff s0 (Obs.snapshot ()) in
   Printf.fprintf oc "\"obs\":%s,\"experiments\":["
-    (Obs.to_json (Obs.diff s0 (Obs.snapshot ())));
+    (Obs.to_json (List.fold_left (fun acc r -> Obs.diff r acc) run !repeat_obs));
   List.iteri
     (fun i o ->
       if i > 0 then output_char oc ',';
@@ -859,14 +880,16 @@ let e19 () =
   in
   (* One run of each arm reads a ratio that moves by about a quarter on
      unchanged code, so the arms run [reps] times, interleaved, and the
-     median is the gated figure; min and max show the spread. *)
+     median is the gated figure; min and max show the spread. Only the
+     first pair is charged to E19's cost (see [repeat_run]). *)
   let reps = 5 in
-  let runs =
-    List.init reps (fun _ ->
-      let fifo = run_arm ~wait:"bench.e19.fifo_wait" (fifo_sweep ~jobs) in
-      let split = run_arm ~wait:"pool.queue_wait" (Pipeline.sweep_checked ~jobs) in
-      (fifo, split))
+  let pair () =
+    let fifo = run_arm ~wait:"bench.e19.fifo_wait" (fifo_sweep ~jobs) in
+    let split = run_arm ~wait:"pool.queue_wait" (Pipeline.sweep_checked ~jobs) in
+    (fifo, split)
   in
+  let first = pair () in
+  let runs = first :: repeat_run (fun () -> List.init (reps - 1) (fun _ -> pair ())) in
   Pipeline.reset_caches ();
   let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
   let med f = median (List.map f runs) in

@@ -84,16 +84,7 @@ let compile_entry spec =
 let install_plan p = Memo.add plan_cache (Tiling_plan.key p) (Plan_ready p)
 
 let plan_of spec =
-  let key = Memo.key_of_shape spec in
-  let entry =
-    match Memo.find_opt plan_cache key with
-    | Some entry -> entry
-    | None ->
-      let entry = compile_entry spec in
-      Memo.add plan_cache key entry;
-      entry
-  in
-  match entry with
+  match Memo.find_or_add plan_cache (Memo.key_of_shape spec) (fun () -> compile_entry spec) with
   | Plan_ready p -> Ok p
   | Plan_failed msg -> Error (Engine_error.Shape_too_large { detail = msg })
 
