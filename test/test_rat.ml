@@ -159,6 +159,148 @@ let props =
         Rat.equal (Rat.mul (Rat.pow a n) (Rat.pow a 1)) (Rat.pow a (n + 1)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Reference equivalence: every operation agrees with the Bigint-only  *)
+(* implementation on values at and across the native-int boundary     *)
+(* ------------------------------------------------------------------ *)
+
+module R = Rat_reference
+
+let pow2 k = 1 lsl k
+
+let gen_int =
+  QCheck.Gen.(
+    let signed g = map2 (fun s v -> if s then -v else v) bool g in
+    frequency
+      [
+        (3, int_range (-100) 100);
+        (2, oneofl [ 0; 1; -1; 2; -2; max_int; -max_int; min_int; pow2 30; pow2 31; pow2 61 ]);
+        (2, signed (map (fun k -> pow2 31 + k) (int_range (-3) 3)));
+        (2, signed (map (fun k -> max_int - k) (int_range 0 3)));
+        (1, signed (map (fun k -> pow2 61 + k) (int_range (-3) 3)));
+        (2, int);
+      ])
+
+(* Integers that need several Bigint digits, and ones just past an int. *)
+let gen_bigint =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map B.of_int gen_int);
+        (1, map2 (fun a b -> B.mul (B.of_int a) (B.of_int b)) gen_int gen_int);
+        (1, map2 (fun a k -> B.shift_left (B.of_int a) k) gen_int (int_range 0 100));
+        (1, map2 (fun s k -> B.add (B.shift_left B.one 62) (B.of_int (if s then k else -k))) bool
+              (int_range 0 3));
+      ])
+
+let gen_pair = QCheck.Gen.(pair gen_bigint (map (fun d -> if B.is_zero d then B.one else d) gen_bigint))
+
+let arb_pair =
+  QCheck.make ~print:(fun (n, d) -> B.to_string n ^ "/" ^ B.to_string d) gen_pair
+
+let both (n, d) = (Rat.make n d, R.make n d)
+
+(* Same value and same rendering, with the parts compared as Bigints. *)
+let agree x y =
+  Rat.to_string x = R.to_string y && B.equal (Rat.num x) (R.num y) && B.equal (Rat.den x) (R.den y)
+
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let agree_or_raise f g =
+  match (outcome f, outcome g) with
+  | Ok x, Ok y -> agree x y
+  | Error a, Error b -> a = b
+  | _ -> false
+
+let bits f = Int64.bits_of_float f
+
+let ref_props =
+  let unary name f g =
+    prop ("ref " ^ name) ~count:1000 arb_pair (fun p ->
+      let x, y = both p in
+      agree_or_raise (fun () -> f x) (fun () -> g y))
+  in
+  let binary name f g =
+    prop ("ref " ^ name) ~count:1000 (QCheck.pair arb_pair arb_pair) (fun (p, q) ->
+      let x, y = both p and x', y' = both q in
+      agree_or_raise (fun () -> f x x') (fun () -> g y y'))
+  in
+  [
+    unary "make" Fun.id Fun.id;
+    prop "ref of_ints" ~count:1000 (QCheck.make QCheck.Gen.(pair gen_int gen_int)) (fun (n, d) ->
+      agree_or_raise (fun () -> Rat.of_ints n d) (fun () -> R.of_ints n d));
+    prop "ref of_int / of_bigint" ~count:1000 (QCheck.make gen_bigint) (fun b ->
+      agree (Rat.of_bigint b) (R.of_bigint b)
+      && match B.to_int_opt b with Some i -> agree (Rat.of_int i) (R.of_int i) | None -> true);
+    binary "add" Rat.add R.add;
+    binary "sub" Rat.sub R.sub;
+    binary "mul" Rat.mul R.mul;
+    binary "div" Rat.div R.div;
+    binary "min" Rat.min R.min;
+    binary "max" Rat.max R.max;
+    unary "inv" Rat.inv R.inv;
+    unary "neg" Rat.neg R.neg;
+    unary "abs" Rat.abs R.abs;
+    prop "ref mul_int" ~count:1000 (QCheck.pair arb_pair (QCheck.make gen_int)) (fun (p, i) ->
+      let x, y = both p in
+      agree (Rat.mul_int x i) (R.mul_int y i));
+    prop "ref pow" ~count:500 (QCheck.pair arb_pair (QCheck.int_range (-4) 4)) (fun (p, k) ->
+      let x, y = both p in
+      agree_or_raise (fun () -> Rat.pow x k) (fun () -> R.pow y k));
+    prop "ref compare / equal / sign" ~count:1000 (QCheck.pair arb_pair arb_pair) (fun (p, q) ->
+      let x, y = both p and x', y' = both q in
+      Rat.compare x x' = R.compare y y'
+      && Rat.compare x x = 0
+      && Rat.equal x x' = R.equal y y'
+      && Rat.sign x = R.sign y);
+    prop "ref floor / ceil / round_nearest" ~count:1000 arb_pair (fun p ->
+      let x, y = both p in
+      B.equal (Rat.floor x) (R.floor y)
+      && B.equal (Rat.ceil x) (R.ceil y)
+      && B.equal (Rat.round_nearest x) (R.round_nearest y));
+    prop "ref is_integer / to_bigint_opt / to_int_exn" ~count:1000 arb_pair (fun p ->
+      let x, y = both p in
+      Rat.is_integer x = R.is_integer y
+      && Option.equal B.equal (Rat.to_bigint_opt x) (R.to_bigint_opt y)
+      && outcome (fun () -> Rat.to_int_exn x) = outcome (fun () -> R.to_int_exn y));
+    prop "ref to_float bit-equal" ~count:1000 arb_pair (fun p ->
+      let x, y = both p in
+      Int64.equal (bits (Rat.to_float x)) (bits (R.to_float y)));
+    prop "ref to_string / hash" ~count:1000 arb_pair (fun p ->
+      let x, y = both p in
+      Rat.to_string x = R.to_string y && Rat.hash x = R.hash y);
+    prop "ref of_string" ~count:1000
+      (QCheck.make
+         QCheck.Gen.(
+           oneof
+             [
+               map (fun p -> R.to_string (R.make (fst p) (snd p))) gen_pair;
+               map2 (fun i f -> Printf.sprintf "%d.%d" i (Stdlib.abs f)) gen_int gen_int;
+               map2 (fun i k -> Printf.sprintf "-%d.%0*d" (Stdlib.abs i) k 7) gen_int (int_range 1 30);
+               oneofl [ ""; "1/0"; "-0.5"; ".25"; "-.25"; "+3"; "1.x"; "0/5"; "-0/-3" ];
+             ]))
+      (fun s ->
+        match (Rat.of_string_opt s, R.of_string_opt s) with
+        | Some x, Some y -> agree x y
+        | None, None -> true
+        | _ -> false);
+    prop "ref of_float" ~count:1000 QCheck.float (fun f ->
+      agree_or_raise (fun () -> Rat.of_float f) (fun () -> R.of_float f));
+    prop "ref rationalize" ~count:1000
+      (QCheck.pair (QCheck.float_range (-1e6) 1e6) (QCheck.int_range 1 1_000_000))
+      (fun (f, max_den) -> agree (Rat.rationalize ~max_den f) (R.rationalize ~max_den f));
+    (* Canonical form: structural equality and Rat.equal coincide, also
+       for equal values reached by different paths. *)
+    prop "(=) iff Rat.equal" ~count:1000 (QCheck.triple arb_pair arb_pair arb_pair)
+      (fun (p, q, r) ->
+        let x = fst (both p) and y = fst (both q) and z = fst (both r) in
+        let via = Rat.add (Rat.sub x z) z in
+        let w = Rat.add z Rat.one in
+        let ok a b = (a = b) = Rat.equal a b in
+        ok x y && ok x via && Rat.equal x via
+        && (Rat.is_zero w || ok x (Rat.div (Rat.mul x w) w)));
+  ]
+
 let () =
   Alcotest.run "rat"
     [
@@ -176,4 +318,5 @@ let () =
           Alcotest.test_case "predicates" `Quick test_predicates;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest props);
+      ("reference", List.map QCheck_alcotest.to_alcotest ref_props);
     ]

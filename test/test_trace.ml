@@ -71,14 +71,26 @@ let test_exact_span_counts_under_pool () =
       | Some t -> Alcotest.(check int) "same lane as parent" t.Obs.Trace.tid w.Obs.Trace.tid)
     (events_named "t.work")
 
+(* A barrier for the tasks of one Pool.map: each task waits until [jobs]
+   tasks have started. A domain runs one task at a time, so the first
+   [jobs] tasks start on [jobs] distinct domains and every worker lane
+   gets a span, however fast the work is. Needs at least [jobs] tasks. *)
+let latch jobs =
+  let started = Atomic.make 0 in
+  fun () ->
+    Atomic.incr started;
+    while Atomic.get started < jobs do
+      Unix.sleepf 50e-6
+    done
+
 let test_worker_lanes_distinct () =
   Obs.reset ();
   Obs.Trace.enable ();
   let jobs = 4 in
-  (* enough sleepy tasks that every worker domain claims at least one *)
+  let wait = latch jobs in
   ignore
     (Pool.map ~jobs
-       (fun _ -> Obs.Trace.with_span "t.sleep" (fun () -> Unix.sleepf 0.003))
+       (fun _ -> Obs.Trace.with_span "t.work" wait)
        (Array.make 48 ()));
   Obs.Trace.disable ();
   let tids =
@@ -149,11 +161,20 @@ let export_parallel_trace () =
       (fun m -> Pipeline.request ~sims:[ Pipeline.sim Pipeline.Optimal ] ~shared:true spec ~m)
       [ 64; 128; 256; 512 ]
   in
+  (* [Pipeline.sweep_checked ~jobs:3 reqs] with a latch in each item's
+     first stage: the simulation continuations still go to the pool's
+     deques, where any lane may steal them, and every worker lane gets a
+     span however fast the analysis is. *)
+  let wait = latch 3 in
   List.iter
     (function
       | Ok _ -> ()
       | Error e -> Alcotest.failf "sweep: %s" (Engine_error.to_string e))
-    (Pipeline.sweep_checked ~jobs:3 reqs);
+    (Pool.map_staged_list ~jobs:3 ~classify:Pipeline.classify
+       (fun req ->
+         wait ();
+         Pipeline.run_staged req)
+       reqs);
   Obs.Trace.disable ();
   Obs.Trace.export_json ()
 
