@@ -178,8 +178,8 @@ let with_telemetry telemetry interval body =
     | Ok t -> Fun.protect ~finally:(fun () -> Telemetry.stop t) body)
 
 (* SIGTERM/SIGINT flip a flag the returned poll reads, so a long-running
-   command finishes its current cycle (a serve batch flushes, a top
-   frame renders) before it returns. *)
+   command finishes its current cycle (serve answers what it has read, a
+   top frame renders) before it returns. *)
 let stop_on_signals () =
   let stopped = Atomic.make false in
   let on_stop = Sys.Signal_handle (fun _ -> Atomic.set stopped true) in
@@ -194,7 +194,7 @@ let jobs_arg =
     & opt (some int) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains: for $(b,sweep) points and $(b,serve) batches (default: \
+          "Worker domains: for $(b,sweep) points and $(b,serve) requests (default: \
            PROJTILE_JOBS or the recommended domain count; $(b,serve) resolves it once \
            at start), for $(b,partition --validate) block simulations, and for \
            $(b,profile) iterations (sequential without it; with it, iteration latency \
@@ -601,8 +601,8 @@ let serve_cmd =
             ("mode", `S mode);
             ("level", `S (Obs.Log.level_name (Obs.Log.current_level ())));
           ];
-        (* A signal lets the in-flight batch complete and flush before the
-           loop exits (graceful drain). SIGPIPE is ignored so a vanished
+        (* A signal stops reading and lets every admitted request complete
+           and flush before the loop exits (graceful drain). SIGPIPE is ignored so a vanished
            client surfaces as EPIPE, handled per connection. *)
         let stop = stop_on_signals () in
         (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -649,9 +649,9 @@ let serve_cmd =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:
             "Listen on a Unix-domain socket at $(docv) instead of serving \
-             stdin/stdout; concurrent connections are NDJSON sessions \
-             batched fairly into the shared pool, each with its own \
-             minted-id sequence.")
+             stdin/stdout; concurrent connections are NDJSON sessions, read \
+             fairly and answered as each request finishes, each in its own \
+             arrival order and with its own minted-id sequence.")
   in
   let tcp_arg =
     Arg.(
@@ -661,7 +661,7 @@ let serve_cmd =
           ~doc:
             "Also (or instead) listen on TCP 127.0.0.1:$(docv); 0 picks a \
              free port, announced on stderr. Combines with $(b,--socket); \
-             both listeners feed the same batch loop.")
+             both listeners feed the same domains.")
   in
   let cache_dir_arg =
     Arg.(
@@ -681,10 +681,11 @@ let serve_cmd =
       value & opt int 512
       & info [ "queue" ] ~docv:"N"
           ~doc:
-            "Admission-queue capacity: at most $(docv) requests are admitted \
-             per batch cycle; further already-waiting lines are answered with \
-             a structured $(b,overloaded) error instead of buffered without \
-             bound.")
+            "Admission cap per request class (analytic, simulation): a line \
+             read while $(docv) requests of its class are already waiting for a \
+             domain (over stdin/stdout: $(docv) admitted in the current batch \
+             cycle) is answered with a structured $(b,overloaded) error instead \
+             of buffered without bound.")
   in
   let jobs_arg =
     Arg.(
@@ -692,8 +693,10 @@ let serve_cmd =
       & opt (some int) None
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains for batch execution (default: PROJTILE_JOBS or the \
-             recommended domain count). Resolved once at daemon start.")
+            "Domains that run requests (default: PROJTILE_JOBS or the \
+             recommended domain count). Resolved once at daemon start; with \
+             $(b,--socket)/$(b,--tcp) the extra $(docv)-1 domains are spawned \
+             once, and 1 runs every request on the domain that read it.")
   in
   let deadline_arg =
     Arg.(
@@ -711,7 +714,7 @@ let serve_cmd =
           ~doc:
             "Preload a plan bundle written by $(b,tilings compile -o) (schema \
              {\"v\":1,\"plans\":[...]}), so requests for those kernel shapes \
-             are plan-served from the very first batch, with no LP warm-up. \
+             are plan-served from the very first request, with no LP warm-up. \
              Each plan is recompiled from its shape key; the stored vertex \
              tables are not read.")
   in
@@ -751,15 +754,17 @@ let serve_cmd =
       & info [ "log-level" ] ~docv:"LEVEL"
           ~doc:
             "Minimum level written to the --log sink: $(b,debug) (adds \
-             per-batch and per-pipeline-stage events), $(b,info), $(b,warn), \
-             $(b,error).")
+             per-batch (stdin/stdout) and per-pipeline-stage events), \
+             $(b,info), $(b,warn), $(b,error).")
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Long-running analysis daemon: newline-delimited JSON requests in, one \
-          JSON response per request in arrival order; batches concurrent \
-          requests into one parallel sweep over a warm memo cache")
+          JSON response per request in arrival order, over a warm memo cache. \
+          On stdin/stdout, concurrent requests batch into one parallel sweep; \
+          with --socket/--tcp, persistent domains answer each request as it \
+          arrives")
     Term.(
       ret
         (const run $ socket_arg $ tcp_arg $ cache_dir_arg $ queue_arg $ jobs_arg

@@ -5,7 +5,12 @@
    to atomics so the hot path never takes a lock it doesn't need for
    the table itself. *)
 
-type 'a shard = { lock : Mutex.t; table : (string, 'a) Hashtbl.t }
+type 'a shard = {
+  lock : Mutex.t;
+  filled : Condition.t;  (** broadcast when an in-flight key lands or fails *)
+  table : (string, 'a) Hashtbl.t;
+  inflight : (string, unit) Hashtbl.t;  (** keys being computed *)
+}
 
 type 'a t = {
   shards : 'a shard array;
@@ -26,7 +31,13 @@ let create ?(shards = default_shards) ?name () =
   let n = pow2_at_least (max 1 shards) 1 in
   {
     shards =
-      Array.init n (fun _ -> { lock = Mutex.create (); table = Hashtbl.create 16 });
+      Array.init n (fun _ ->
+        {
+          lock = Mutex.create ();
+          filled = Condition.create ();
+          table = Hashtbl.create 16;
+          inflight = Hashtbl.create 4;
+        });
     mask = n - 1;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
@@ -46,16 +57,18 @@ let count_entry t delta =
   let v = Atomic.fetch_and_add t.entries delta + delta in
   Option.iter (fun g -> Obs.set_gauge g v) t.obs_entries
 
+let count_hit t =
+  Atomic.incr t.hits;
+  Option.iter (fun c -> Obs.incr c) t.obs_hits
+
+let count_miss t =
+  Atomic.incr t.misses;
+  Option.iter (fun c -> Obs.incr c) t.obs_misses
+
 let find_opt t key =
   let s = shard_of t key in
   let r = with_lock s (fun () -> Hashtbl.find_opt s.table key) in
-  (match r with
-  | Some _ ->
-    Atomic.incr t.hits;
-    Option.iter (fun c -> Obs.incr c) t.obs_hits
-  | None ->
-    Atomic.incr t.misses;
-    Option.iter (fun c -> Obs.incr c) t.obs_misses);
+  (match r with Some _ -> count_hit t | None -> count_miss t);
   r
 
 let add t key v =
@@ -70,15 +83,49 @@ let add t key v =
   in
   if added then count_entry t 1
 
+(* Single flight: the first miss on a key marks it in flight and
+   computes it outside the lock; later misses on that key wait for the
+   value (and count as hits). A failed computation clears the mark and
+   wakes the waiters, one of which computes it afresh. *)
 let find_or_add t key compute =
-  match find_opt t key with
-  | Some v -> v
-  | None ->
-    (* Computed outside the lock: a concurrent miss on the same key just
-       recomputes the same deterministic value, and first writer wins. *)
-    let v = compute () in
-    add t key v;
+  let s = shard_of t key in
+  let rec claim () =
+    match Hashtbl.find_opt s.table key with
+    | Some v -> Some v
+    | None when Hashtbl.mem s.inflight key ->
+      Condition.wait s.filled s.lock;
+      claim ()
+    | None ->
+      Hashtbl.replace s.inflight key ();
+      None
+  in
+  match with_lock s claim with
+  | Some v ->
+    count_hit t;
     v
+  | None ->
+    count_miss t;
+    let settle r =
+      let added =
+        with_lock s (fun () ->
+          Hashtbl.remove s.inflight key;
+          Condition.broadcast s.filled;
+          match r with
+          | Some v when not (Hashtbl.mem s.table key) ->
+            Hashtbl.add s.table key v;
+            true
+          | _ -> false)
+      in
+      if added then count_entry t 1
+    in
+    (match compute () with
+    | v ->
+      settle (Some v);
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      settle None;
+      Printexc.raise_with_backtrace e bt)
 
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses

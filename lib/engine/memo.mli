@@ -15,10 +15,12 @@
     array of shards, each with its own mutex, so concurrent lookups of
     different keys rarely contend (the serve daemon runs many
     connections' requests against these tables at once). Hit/miss/entry
-    counts are atomics outside the shard locks. Computations still run
-    outside any lock (a racing duplicate compute of the same
-    deterministic value is harmless and cheaper than holding a lock
-    across an LP solve; first writer wins). *)
+    counts are atomics outside the shard locks. Computations run outside
+    any lock, single-flight: while one caller computes a key, a
+    concurrent {!find_or_add} of the same key waits for that value
+    instead of computing it again (with the serve daemon's domains
+    running requests as they arrive, two requests for a new shape would
+    otherwise both compile its plan). *)
 
 type 'a t
 
@@ -33,7 +35,12 @@ val create : ?shards:int -> ?name:string -> unit -> 'a t
 
 val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
 (** [find_or_add t key compute] returns the cached value for [key],
-    computing and caching it on first use. *)
+    computing and caching it on first use. A call that finds [key] being
+    computed by another domain waits for that result and counts a hit;
+    only the computing call counts a miss. If [compute] raises, the
+    exception reaches the computing caller, nothing is cached, and each
+    waiter retries (one of them computes afresh). [compute] must not
+    look up its own key. *)
 
 val find_opt : 'a t -> string -> 'a option
 (** Lookup only; counts a hit or a miss. *)

@@ -50,6 +50,11 @@ let default_jobs () =
 
 let now = Unix.gettimeofday
 
+(* Trace lane names of spawned workers, numbered across the process:
+   every pool call spawns fresh domains, and a trace spanning several
+   calls must still name each lane once. *)
+let lane_seq = Atomic.make 1
+
 let record_wait prio dt =
   Obs.add_seconds t_queue dt;
   Obs.add_seconds
@@ -157,7 +162,8 @@ let map_staged ?jobs ~classify f xs =
     in
     let worker w =
       if w > 0 && Obs.Trace.is_enabled () then
-        Obs.Trace.set_lane_name (Printf.sprintf "worker-%d" w);
+        Obs.Trace.set_lane_name
+          (Printf.sprintf "worker-%d" (Atomic.fetch_and_add lane_seq 1));
       let mine = ref 0 in
       let spins = ref 0 in
       while Atomic.get completed < n do

@@ -35,7 +35,9 @@
     spawned workers, ["pool.idle_domains"] gauges the instantaneous
     idle width, and with {!Obs.Trace} enabled each stage execution is a
     ["pool.task"] span tagged with the item index on the executing
-    worker's lane (["worker-N"]; worker 0 is the caller's domain). *)
+    worker's lane (worker 0 is the caller's domain; each spawned worker
+    is ["worker-N"], N counted across the process, so a trace that spans
+    several calls never repeats a lane name). *)
 
 type priority =
   | Analytic

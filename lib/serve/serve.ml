@@ -34,14 +34,14 @@ let t_request = Obs.timer "serve.request"
 
 (* Per-class service latency: the split the scheduler exists for.
    Analytic requests must stay in the sub-millisecond mode whatever
-   simulations share the batch; these histograms are where to look. *)
+   simulations run beside them; these histograms are where to look. *)
 let t_request_analytic = Obs.timer "serve.request.analytic"
 let t_request_simulation = Obs.timer "serve.request.simulation"
 
-(* Live levels for the dashboard: how deep the current batch cycle is
-   (admitted + rejected lines being worked, plus the per-class split of
-   the admitted), how many requests are executing on pool domains right
-   now, and how many client connections are open. *)
+(* Live levels for the dashboard: the queue depth with its per-class
+   split (in the daemon, requests waiting for a domain; over the pipe,
+   the lines of the batch cycle being worked), how many requests are
+   executing right now, and how many client connections are open. *)
 let g_queue = Obs.gauge "serve.queue_depth"
 let g_queue_analytic = Obs.gauge "serve.queue_depth.analytic"
 let g_queue_simulation = Obs.gauge "serve.queue_depth.simulation"
@@ -118,9 +118,10 @@ let decode_line cfg session ~admitted_at ~emit line =
       it_emit = emit;
     }
 
-(* Per-class admission: each class has [queue_capacity] seats per batch
-   cycle, so a flood of simulation requests can exhaust its own queue
-   without costing analytic requests theirs (and vice versa). *)
+(* Per-class admission over the pipe: each class has [queue_capacity]
+   seats per batch cycle, so a flood of simulation requests can exhaust
+   its own queue without costing analytic requests theirs (and vice
+   versa). The daemon applies the same cap to each class's live queue. *)
 type admission = {
   mutable adm_analytic : int;
   mutable adm_simulation : int;
@@ -157,23 +158,26 @@ let admit cfg adm item =
 
 (* A line the transport discarded unread is answered like a request that
    failed to decode. *)
-let admit_event cfg adm session ~admitted_at ~emit = function
-  | Line l -> admit cfg adm (decode_line cfg session ~admitted_at ~emit l)
+let item_of_event cfg session ~admitted_at ~emit = function
+  | Line l -> Some (decode_line cfg session ~admitted_at ~emit l)
   | Oversized ->
-    admit cfg adm
+    Some
       (error_item session ~emit ~id:None ~v:1
          (Engine_error.Invalid_request
             (Printf.sprintf "request line longer than %d bytes" max_line_bytes)))
-  | Wait | Eof -> ()
+  | Wait | Eof -> None
+
+let admit_event cfg adm session ~admitted_at ~emit ev =
+  Option.iter (admit cfg adm) (item_of_event cfg session ~admitted_at ~emit ev)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* What the request log says about one finished request. Written by
-   [process] in response order, not by the worker that finished it, so
-   the log lines of a batch come out in the same order as its responses
-   whatever the pool width. *)
+(* What the request log says about one finished request. Written with
+   the response ([send_response]), not when the request finishes, so a
+   connection's log lines come out in the same order as its responses
+   whatever the number of domains. *)
 type done_log = {
   l_op : string;
   l_seconds : float;  (** admission to completion, measured by the worker *)
@@ -203,7 +207,8 @@ let log_request cfg item res l =
 
 (* One admitted request as a staged pool task: the analytic half runs at
    the item's class, and a simulation-carrying request returns [More] so
-   its heavy tail re-queues at Simulation class (Pipeline.run_staged).
+   its heavy tail re-queues at Simulation class (Pipeline.run_staged);
+   the daemon runs the tail at once, on the same domain.
    The serve-level latency clock spans admission-to-finish across both
    stages and stops here, at completion; the ambient correlation id is
    re-established inside the continuation because it is domain-local and
@@ -275,6 +280,33 @@ let run_one item =
       | Pool.More f ->
         Pool.More (fun () -> Obs.Log.with_corr item.it_id (fun () -> render (f ())))))
 
+(* Render a finished request, log it and write it to its connection. *)
+let send_response cfg (item, res, log) =
+  log_request cfg item res log;
+  let id = Some item.it_id in
+  let v = item.it_v and warnings = item.it_warnings in
+  let line =
+    match res with
+    | Ok (`Report report_json) -> Serve_protocol.ok_response ~warnings ~v ~id ~report_json ()
+    | Ok (`Reports report_jsons) ->
+      Serve_protocol.sweep_response ~warnings ~v ~id ~report_jsons ()
+    | Ok (`Plan plan_json) -> Serve_protocol.plan_response ~warnings ~v ~id ~plan_json ()
+    | Ok (`Partition partition_json) ->
+      Serve_protocol.partition_response ~warnings ~v ~id ~partition_json ()
+    | Error err ->
+      count_error err;
+      Serve_protocol.error_response ~v ~id err
+  in
+  Obs.incr c_responses;
+  item.it_emit line
+
+let send_rejection cfg (id, v, emit) =
+  let err = Engine_error.Overloaded { capacity = cfg.queue_capacity } in
+  count_error err;
+  Obs.incr c_responses;
+  Obs.Log.warn "serve.overloaded" [ ("id", `S id); ("capacity", `I cfg.queue_capacity) ];
+  emit (Serve_protocol.error_response ~v ~id:(Some id) err)
+
 (* One batch: run every admitted item through the staged pool, then emit
    one response per line in arrival order — admitted first, overload
    rejections after. Each response goes back to the connection it came
@@ -300,37 +332,8 @@ let process cfg admitted rejected =
   let outcomes =
     Pool.map_staged_list ~jobs:cfg.jobs ~classify:(fun i -> i.it_class) run_one admitted
   in
-  List.iter
-    (fun (item, res, log) ->
-      log_request cfg item res log;
-      let id = Some item.it_id in
-      let v = item.it_v and warnings = item.it_warnings in
-      let line =
-        match res with
-        | Ok (`Report report_json) ->
-          Serve_protocol.ok_response ~warnings ~v ~id ~report_json ()
-        | Ok (`Reports report_jsons) ->
-          Serve_protocol.sweep_response ~warnings ~v ~id ~report_jsons ()
-        | Ok (`Plan plan_json) ->
-          Serve_protocol.plan_response ~warnings ~v ~id ~plan_json ()
-        | Ok (`Partition partition_json) ->
-          Serve_protocol.partition_response ~warnings ~v ~id ~partition_json ()
-        | Error err ->
-          count_error err;
-          Serve_protocol.error_response ~v ~id err
-      in
-      Obs.incr c_responses;
-      item.it_emit line)
-    outcomes;
-  List.iter
-    (fun (id, v, emit) ->
-      let err = Engine_error.Overloaded { capacity = cfg.queue_capacity } in
-      count_error err;
-      Obs.incr c_responses;
-      Obs.Log.warn "serve.overloaded"
-        [ ("id", `S id); ("capacity", `I cfg.queue_capacity) ];
-      emit (Serve_protocol.error_response ~v ~id:(Some id) err))
-    rejected;
+  List.iter (send_response cfg) outcomes;
+  List.iter (send_rejection cfg) rejected;
   Obs.set_gauge g_queue 0;
   Obs.set_gauge g_queue_analytic 0;
   Obs.set_gauge g_queue_simulation 0;
@@ -464,11 +467,19 @@ let run_pipe ?stop cfg =
 (* The multi-client daemon                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* One response slot per line read from a connection, queued in arrival
+   order. A finished request fills its slot with the thunk that logs and
+   writes its response; the thunks run from the head of the queue only,
+   so a response that finishes early waits for the ones before it. *)
+type slot = { mutable s_out : (unit -> unit) option }
+
 type conn = {
   c_fd : Unix.file_descr;
-  c_next : block:bool -> event;
+  c_next : block:bool -> event;  (** read by the poller only *)
   c_session : session;
   c_num : int;
+  c_lock : Mutex.t;  (** guards [c_slots], [c_eof], [c_dead] and writes to [c_fd] *)
+  c_slots : slot Queue.t;  (** lines read and not yet answered, oldest first *)
   mutable c_eof : bool;  (** client finished sending; close after replying *)
   mutable c_dead : bool;  (** write failed; stop emitting, close *)
 }
@@ -476,6 +487,25 @@ type conn = {
 let conn_emit c line =
   if not c.c_dead then
     try write_line c.c_fd line with Unix.Unix_error _ -> c.c_dead <- true
+
+(* Fill [slot] and write every answered line at the head of [c]'s queue.
+   Once the client has sent EOF and its last line is answered, the
+   sending side is shut down, so the client sees EOF now rather than when
+   the poller next closes the descriptor. *)
+let answer c slot out =
+  Mutex.protect c.c_lock @@ fun () ->
+  slot.s_out <- Some out;
+  let rec flush () =
+    match Queue.peek_opt c.c_slots with
+    | Some { s_out = Some out } ->
+      ignore (Queue.pop c.c_slots);
+      out ();
+      flush ()
+    | _ -> ()
+  in
+  flush ();
+  if c.c_eof && Queue.is_empty c.c_slots then
+    try Unix.shutdown c.c_fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ()
 
 type listener = { l_fd : Unix.file_descr; l_transport : string }
 
@@ -498,7 +528,34 @@ let tcp_listener port =
   in
   ({ l_fd = fd; l_transport = "tcp" }, actual)
 
+let c_domains = Obs.counter "serve.domains_spawned"
+
+(* An admitted request waiting for a domain. *)
+type job = { j_conn : conn; j_slot : slot; j_item : item }
+
+(* Leader/follower dispatch over [cfg.jobs] domains: the caller's and
+   [jobs - 1] spawned once, all running [next]. A domain claims waiting
+   work, analytic before simulation; one that finds both queues empty
+   takes the single poller role, reads at most one line per connection,
+   admits what it read, gives the role up and claims work itself. The
+   domain that finishes a request writes its response. With [jobs = 1]
+   this is read a line, run it, answer it, on one domain. *)
 let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
+  let lock = Mutex.create () and work = Condition.create () in
+  let analytic = Queue.create () and simulation = Queue.create () in
+  let polling = ref false (* a domain holds the poller role *) in
+  let draining = ref false (* stop seen: read nothing more *) in
+  let failure = Atomic.make None in
+  let queue_of = function Pool.Analytic -> analytic | Pool.Simulation -> simulation in
+  (* Under [lock]: the live waiting counts. *)
+  let set_depth () =
+    let a = Queue.length analytic and s = Queue.length simulation in
+    Obs.set_gauge g_queue (a + s);
+    Obs.set_gauge g_queue_analytic a;
+    Obs.set_gauge g_queue_simulation s
+  in
+  (* The connection list, the readers and [rotation] are touched by the
+     poller only; the role passes between domains under [lock]. *)
   let conns = ref [] in
   let conn_seq = ref 0 in
   let accept_on l =
@@ -517,6 +574,8 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
               c_next = reader_of_fd fd;
               c_session = new_session ();
               c_num = !conn_seq;
+              c_lock = Mutex.create ();
+              c_slots = Queue.create ();
               c_eof = false;
               c_dead = false;
             };
@@ -529,71 +588,173 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
     Obs.add_gauge g_open (-1);
     Obs.Log.info "serve.disconnect" [ ("conn", `I c.c_num) ]
   in
+  (* A finished or vanished client is closed once every line read from
+     it has been answered. *)
   let cleanup () =
-    let dead, live = List.partition (fun c -> c.c_eof || c.c_dead) !conns in
-    List.iter close_conn dead;
+    let finished c =
+      Mutex.protect c.c_lock (fun () ->
+        (c.c_eof || c.c_dead) && Queue.is_empty c.c_slots)
+    in
+    let gone, live = List.partition finished !conns in
+    List.iter close_conn gone;
     conns := live
   in
-  (* Fair batching across connections: pull at most one line per live
-     connection per round, rounds starting at a rotating offset, until
-     nothing more is immediately readable (or the admission caps are
-     hit). A chatty connection cannot starve a quiet one — its surplus
-     lines wait in its own reader buffer for the next cycle. *)
+  (* Fair reading across connections: at most one line per live
+     connection per round, starting at a rotating offset, so a chatty
+     connection cannot starve a quiet one — its surplus lines wait in its
+     own reader buffer for a later round. Returns what was read, in
+     order; each line already holds its slot. *)
   let rotation = ref 0 in
-  let drain_multi () =
+  let read_round () =
     let admitted_at = Unix.gettimeofday () in
-    let adm = new_admission () in
     let active = Array.of_list !conns in
     let n = Array.length active in
+    let read = ref [] in
     if n > 0 then begin
       let start = !rotation mod n in
       incr rotation;
-      let progress = ref true in
-      while !progress && adm.adm_rejected < cfg.queue_capacity do
-        progress := false;
-        for k = 0 to n - 1 do
-          let c = active.((start + k) mod n) in
-          if (not c.c_eof) && (not c.c_dead) && adm.adm_rejected < cfg.queue_capacity
-          then
-            match c.c_next ~block:false with
-            | Wait -> ()
-            | Eof -> c.c_eof <- true
-            | (Line _ | Oversized) as ev ->
-              progress := true;
-              admit_event cfg adm c.c_session ~admitted_at ~emit:(conn_emit c) ev
-            | exception Unix.Unix_error _ -> c.c_eof <- true
-        done
+      for k = 0 to n - 1 do
+        let c = active.((start + k) mod n) in
+        if not (c.c_eof || c.c_dead) then
+          let ev = try c.c_next ~block:false with Unix.Unix_error _ -> Eof in
+          match item_of_event cfg c.c_session ~admitted_at ~emit:(conn_emit c) ev with
+          | Some item ->
+            let slot = { s_out = None } in
+            Mutex.protect c.c_lock (fun () -> Queue.push slot c.c_slots);
+            read := { j_conn = c; j_slot = slot; j_item = item } :: !read
+          | None -> (
+            match ev with
+            | Eof -> Mutex.protect c.c_lock (fun () -> c.c_eof <- true)
+            | Line _ | Oversized | Wait -> ())
       done
     end;
-    (List.rev adm.adm_admitted_rev, List.rev adm.adm_rejected_rev)
+    List.rev !read
   in
-  let rec loop () =
-    if stop () then ()
+  (* One turn of the poller role. Buffered lines first: bytes already
+     pulled into a reader can no longer trip select. A client whose EOF
+     that round read is closed before the wait. *)
+  let poll () =
+    cleanup ();
+    if stop () then None
     else
-      (* Buffered lines first: bytes already pulled into a reader can no
-         longer trip select. *)
-      match drain_multi () with
-      | [], [] ->
+      match read_round () with
+      | _ :: _ as read -> Some read
+      | [] ->
         cleanup ();
         let fds =
           List.map (fun l -> l.l_fd) listeners
-          @ List.map (fun c -> c.c_fd) !conns
+          @ List.filter_map (fun c -> if c.c_eof || c.c_dead then None else Some c.c_fd) !conns
         in
         (match Unix.select fds [] [] 0.25 with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | ready, _, _ ->
           List.iter (fun l -> if List.memq l.l_fd ready then accept_on l) listeners);
-        loop ()
-      | admitted, rejected ->
-        process cfg admitted rejected;
-        cleanup ();
-        loop ()
+        if stop () then None else Some (read_round ())
+  in
+  (* Under [lock]: queue what the poller read, per-class cap first. *)
+  let admit read =
+    let rejected = ref [] and admitted = ref 0 in
+    List.iter
+      (fun j ->
+        let q = queue_of j.j_item.it_class in
+        if Queue.length q < cfg.queue_capacity then begin
+          Queue.push j q;
+          incr admitted
+        end
+        else rejected := j :: !rejected)
+      read;
+    Obs.incr ~by:(List.length read) c_requests;
+    Obs.incr c_batches;
+    Obs.record_max c_batch_max !admitted;
+    Obs.record_max c_queue_max (Queue.length analytic + Queue.length simulation);
+    set_depth ();
+    List.rev !rejected
+  in
+  (* Under [lock]: the next thing this domain does. *)
+  let rec claim () =
+    match
+      match Queue.take_opt analytic with None -> Queue.take_opt simulation | j -> j
+    with
+    | Some j ->
+      set_depth ();
+      `Run j
+    | None when !draining -> `Exit
+    | None when not !polling ->
+      polling := true;
+      `Poll
+    | None ->
+      Condition.wait work lock;
+      claim ()
+  in
+  let execute j =
+    let item = j.j_item in
+    let outcome =
+      Obs.Trace.with_span "serve.request" @@ fun () ->
+      match run_one item with Pool.Done r -> r | Pool.More tail -> tail ()
+    in
+    answer j.j_conn j.j_slot (fun () -> send_response cfg outcome)
+  in
+  let rec next () = dispatch (Mutex.protect lock claim)
+  and dispatch = function
+    | `Exit -> ()
+    | `Run j ->
+      execute j;
+      next ()
+    | `Poll ->
+      let read = poll () in
+      let rejected, next =
+        Mutex.protect lock @@ fun () ->
+        polling := false;
+        let rejected =
+          match read with
+          | Some [] -> [] (* nothing arrived: no one to wake *)
+          | None ->
+            draining := true;
+            Condition.broadcast work;
+            []
+          | Some read ->
+            Condition.broadcast work;
+            admit read
+        in
+        (rejected, claim ())
+      in
+      List.iter
+        (fun j ->
+          let i = j.j_item in
+          answer j.j_conn j.j_slot (fun () ->
+            send_rejection cfg (i.it_id, i.it_v, i.it_emit)))
+        rejected;
+      dispatch next
+  in
+  (* A domain that dies takes the daemon down with it: the others drain
+     what is queued and stop, and the first exception is re-raised. *)
+  let guarded () =
+    try next ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+      Mutex.protect lock (fun () ->
+        draining := true;
+        Condition.broadcast work)
   in
   Fun.protect
     ~finally:(fun () ->
       List.iter close_conn !conns;
       conns := [])
-    loop
+    (fun () ->
+      Obs.incr ~by:(cfg.jobs - 1) c_domains;
+      let domains =
+        List.init (cfg.jobs - 1) (fun w ->
+          Domain.spawn (fun () ->
+            if Obs.Trace.is_enabled () then
+              Obs.Trace.set_lane_name (Printf.sprintf "serve-%d" (w + 1));
+            guarded ()))
+      in
+      guarded ();
+      List.iter Domain.join domains;
+      Option.iter
+        (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+        (Atomic.get failure))
 
 let run_daemon ?stop cfg ?socket_path ?tcp_port () =
   let listeners = ref [] and finalizers = ref [] in

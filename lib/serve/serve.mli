@@ -1,34 +1,41 @@
-(** The [tilings serve] daemon: a long-running batching front-end over
-    the engine pipeline.
+(** The [tilings serve] daemon: a long-running front-end over the
+    engine pipeline.
 
     Why a daemon: every one-shot CLI invocation pays process startup and
     a cold memo cache, but the expensive exact-LP stages depend only on
     the canonical [(spec, beta, m)] point — across requests the shared
-    {!Memo} tables amortize them, and concurrently-arriving requests
-    batch into one {!Pool}-parallel sweep.
+    {!Memo} tables amortize them. Over stdin/stdout ({!serve},
+    {!run_pipe}) concurrently-arriving requests batch into one
+    {!Pool}-parallel sweep; the socket daemon ({!run_daemon}) runs each
+    request as it arrives on one of [jobs] persistent domains.
 
     Production semantics:
     - {b Classed admission}: requests are decoded and classified at
       admission — [Analytic] (no simulations: plan/LP/closed-form, the
       sub-millisecond class; compile requests too) or [Simulation]
       (carries simulated executions) — and each class has its own
-      [queue_capacity] seats per batch cycle, so a flood of simulation
-      work cannot crowd analytic requests out of admission (or vice
-      versa). Lines beyond a class's seats are answered with a
-      structured [overloaded] error instead of buffered without bound
-      (anything not yet read stays in the OS pipe buffer — that is the
-      transport's own backpressure). Inside a batch the {!Pool}
-      scheduler serves all analytic work ahead of simulation tails.
+      [queue_capacity] seats, so a flood of simulation work cannot
+      crowd analytic requests out of admission (or vice versa). Over
+      the pipe a class has [queue_capacity] seats per batch cycle; in
+      the daemon, a line read while [queue_capacity] requests of its
+      class are waiting for a domain is over the cap. Lines over the
+      cap are answered with a structured [overloaded] error instead of
+      buffered without bound (anything not yet read stays in the OS
+      buffer — that is the transport's own backpressure). Analytic
+      work is run ahead of simulation work: inside a pipe batch by the
+      {!Pool} scheduler, in the daemon by claim order.
     - {b Deadlines}: a request's [deadline_ms] budget starts at
       admission (queue wait counts). Expiry returns a [deadline_exceeded]
       response, checked at pipeline stage boundaries
       ({!Pipeline.run_checked}); a [deadline_ms] of 0 fails before any
       work — the liveness probe.
     - {b Ordering}: one response line per request line, in arrival
-      order, errors included.
+      order (per connection, in the daemon), errors included. A
+      response that finishes before an earlier line's waits for it.
     - {b Drain}: EOF (or a [stop] flag flipped by SIGTERM/SIGINT)
-      finishes the admitted batch, flushes its responses, and returns —
-      no request is half-answered.
+      stops reading, finishes every admitted request, flushes its
+      response, and returns — no request is half-answered. The daemon
+      joins its domains before returning.
     - {b Isolation}: a malformed or failing request yields an error
       response; the loop keeps serving.
     - {b Plan warm-up}: the first request touching a new kernel shape
@@ -56,20 +63,26 @@
     [serve.rejected_overloaded], [serve.connections] (total accepted),
     high-watermarks
     [serve.batch_size_max] / [serve.queue_depth_max] / [serve.pool_jobs],
-    gauges [serve.queue_depth] (depth of the batch cycle being worked,
-    0 between batches) with its per-class split
-    [serve.queue_depth.analytic] / [serve.queue_depth.simulation],
-    [serve.inflight] (requests executing on pool domains right now) and
-    [serve.open_connections] (clients currently connected), and timers
-    (with latency histograms) [serve.batch] / [serve.request] plus the
-    per-class latency histograms [serve.request.analytic] /
-    [serve.request.simulation]. Each batch is a [serve.batch] trace
-    span with one [serve.request] child per request. Structured log
-    events (when a {!Obs.Log} sink is set): [serve.request] (info, per
-    request: id/op/status/ms, written just before the response line, so
-    log order = response order), [serve.slow_request] (warn, see
-    [slow_s]), [serve.overloaded] (warn, per rejection), [serve.batch]
-    (debug, per cycle), [serve.listen] / [serve.connection] /
+    [serve.domains_spawned] (the daemon's [jobs - 1] domains, counted
+    once at start), gauges [serve.queue_depth] (in the daemon, the
+    requests waiting for a domain right now; over the pipe, the depth
+    of the batch cycle being worked, 0 between batches) with its
+    per-class split [serve.queue_depth.analytic] /
+    [serve.queue_depth.simulation], [serve.inflight] (requests
+    executing right now) and [serve.open_connections] (clients
+    currently connected), and timers (with latency histograms)
+    [serve.request], [serve.batch] (pipe only) and the per-class
+    latency histograms [serve.request.analytic] /
+    [serve.request.simulation]. In the daemon a "batch" is one poller
+    turn that read at least one line. Each pipe batch is a
+    [serve.batch] trace span with a [pool.task] child per request
+    stage; each daemon request is a [serve.request] span on the lane of
+    the domain that ran it. Structured log events (when a {!Obs.Log}
+    sink is set): [serve.request] (info, per request: id/op/status/ms,
+    written just before the response line, so log order = response
+    order), [serve.slow_request] (warn, see [slow_s]),
+    [serve.overloaded] (warn, per rejection), [serve.batch] (debug, per
+    pipe cycle), [serve.listen] / [serve.connection] /
     [serve.disconnect] (info, connection lifecycle). *)
 
 type event =
@@ -83,9 +96,13 @@ type event =
 
 type config = {
   jobs : int;
-      (** pool width for batch execution, resolved {e once} at daemon
-          start (never re-read from [PROJTILE_JOBS] per request) *)
-  queue_capacity : int;  (** max requests admitted per batch cycle *)
+      (** domains that run requests (the pool width of a pipe batch;
+          the daemon's persistent domains, the caller's included),
+          resolved {e once} at daemon start (never re-read from
+          [PROJTILE_JOBS] per request) *)
+  queue_capacity : int;
+      (** per request class: max requests admitted per pipe batch
+          cycle, or max requests waiting for a daemon domain *)
   default_deadline_s : float option;
       (** budget applied when a request carries no [deadline_ms] *)
   slow_s : float option;
@@ -135,18 +152,24 @@ val run_daemon :
     ["serve: listening on 127.0.0.1:PORT"]). At least one listener is
     required ([Invalid_argument] otherwise).
 
-    Connections are served {e concurrently} from one loop: each batch
-    cycle drains at most one line per connection per round (rotating
-    round-robin start, so no connection is structurally first) until
-    nothing more is immediately readable, runs the admitted batch on
-    the pool, then writes each response back to the connection its
-    request came from, in that connection's arrival order. Every
+    Connections are served {e concurrently} by [cfg.jobs] domains, the
+    caller's and [jobs - 1] spawned once for the daemon's lifetime, all
+    running one leader/follower loop. A domain claims a waiting
+    analytic request, else a waiting simulation, and runs it; one that
+    finds both queues empty takes the single poller role, reads at most
+    one line per connection (rotating round-robin start, so no
+    connection is structurally first), admits them, gives the role up
+    and claims work itself. The domain that finishes a request writes
+    its response back to the connection it came from, in that
+    connection's arrival order. With [jobs = 1] no domain is spawned:
+    each line is read, run and answered on the calling domain. Every
     connection gets its own mint session ([srv-1], [srv-2], ... each),
     its own correlation-id scope, and per-response bytes identical to
     what a one-shot pipe session would produce for the same lines.
-    EOF from a client closes its connection after its admitted
-    requests are answered; a client that vanishes mid-write is dropped
-    without disturbing the others. [stop] is polled between batch
-    cycles. Callers should ignore [SIGPIPE] so a vanishing client
-    surfaces as [EPIPE] (handled per connection) rather than killing
-    the daemon. *)
+    EOF from a client closes its connection once every line read from
+    it is answered; a client that vanishes mid-write is dropped without
+    disturbing the others. [stop] is polled by each poller turn; once
+    it reads true nothing more is read, every admitted request is
+    answered, and the domains are joined before returning. Callers
+    should ignore [SIGPIPE] so a vanishing client surfaces as [EPIPE]
+    (handled per connection) rather than killing the daemon. *)

@@ -468,9 +468,10 @@ let rec rm_rf path =
   else Sys.remove path
 
 (* Start `tilings serve <args>` in the background with stderr captured
-   to a file, run [f ~err], then SIGTERM and reap. The daemon drains and
-   exits 0 on SIGTERM; any other exit is a test failure. *)
-let with_daemon args f =
+   to a file, run [f ~err ~pid], then SIGTERM and reap. The daemon drains and
+   exits 0 on SIGTERM; any other exit is a test failure. [after] then
+   reads what the daemon wrote to stderr, [--metrics] included. *)
+let with_daemon ?(after = fun ~stderr:_ -> ()) args f =
   let err = Filename.temp_file "cli_daemon" ".err" in
   let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -482,7 +483,7 @@ let with_daemon args f =
   Unix.close err_fd;
   Unix.close devnull;
   let result =
-    try Ok (f ~err) with e -> Error (e, Printexc.get_raw_backtrace ())
+    try Ok (f ~err ~pid) with e -> Error (e, Printexc.get_raw_backtrace ())
   in
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
   let _, status = Unix.waitpid [] pid in
@@ -497,6 +498,7 @@ let with_daemon args f =
   match result with
   | Ok v ->
     exit_check ();
+    after ~stderr:(read_lines err);
     v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
@@ -544,7 +546,7 @@ let test_serve_multi_client () =
   let dir = temp_dir "cli_sock" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let sock = Filename.concat dir "d.sock" in
-  with_daemon [ "--socket"; sock ] @@ fun ~err:_ ->
+  with_daemon [ "--socket"; sock ] @@ fun ~err:_ ~pid:_ ->
   wait_for (fun () -> if Sys.file_exists sock then Some () else None) "socket file";
   let a_lines =
     [
@@ -577,7 +579,7 @@ let test_serve_multi_client () =
 let test_serve_tcp () =
   (* --tcp 0 binds an ephemeral loopback port and announces it on
      stderr; a TCP client gets the same bytes as the pipe transport *)
-  with_daemon [ "--tcp"; "0" ] @@ fun ~err ->
+  with_daemon [ "--tcp"; "0" ] @@ fun ~err ~pid:_ ->
   let port =
     wait_for
       (fun () ->
@@ -595,6 +597,198 @@ let test_serve_tcp () =
   send_line fd req;
   Alcotest.(check (list string)) "tcp response = one-shot" (run_serve "" [ req ])
     (finish_conn fd)
+
+let connect_unix sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  fd
+
+let socket_daemon args f =
+  let dir = temp_dir "cli_sock" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sock = Filename.concat dir "d.sock" in
+  let after = ref (fun ~stderr:_ -> ()) in
+  with_daemon ~after:(fun ~stderr -> !after ~stderr) ("--socket" :: sock :: args)
+  @@ fun ~err:_ ~pid ->
+  wait_for (fun () -> if Sys.file_exists sock then Some () else None) "socket file";
+  f ~connect:(fun () -> connect_unix sock) ~after ~pid
+
+(* The one response line the connection has outstanding. *)
+let read_response ?(timeout = 20.0) fd =
+  let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    match String.index_opt (Buffer.contents buf) '\n' with
+    | Some i -> Buffer.sub buf 0 i
+    | None ->
+      let left = timeout -. (Unix.gettimeofday () -. t0) in
+      if left <= 0.0 then Alcotest.fail "timed out waiting for a response";
+      (match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> ()
+      | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Alcotest.fail "daemon closed the connection before answering"
+        | n -> Buffer.add_subbytes buf chunk 0 n));
+      go ()
+  in
+  go ()
+
+let readable fd = match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> false | _ -> true
+
+(* Untiled LRU simulation of n^3 matmul points at a cache of 8 words:
+   about a second at the default n = 160. *)
+let heavy ?(n = 160) id =
+  Printf.sprintf
+    {|{"id":"%s","kernel":"i = %d, j = %d, k = %d : C[i,k] += A[i,j] * B[j,k]","m":8,"schedules":["untiled"],"policies":["lru"]}|}
+    id n n n
+
+let counter_value name lines =
+  List.find_map
+    (fun l ->
+      match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+      | [ n; v ] when n = name -> int_of_string_opt (String.concat "" (String.split_on_char ',' v))
+      | _ -> None)
+    lines
+
+let test_serve_no_head_of_line () =
+  (* at --jobs 2 an analytic request on B is answered while A's
+     simulation, sent first, is still running; a SIGTERM then still
+     lets A's simulation finish and be answered before the daemon exits
+     0 (checked by with_daemon) *)
+  socket_daemon [ "--jobs"; "2" ] @@ fun ~connect ~after:_ ~pid ->
+  let a = connect () and b = connect () in
+  send_line a (heavy "a0");
+  let b_req = {|{"id":"b0","kernel":"matvec","m":64}|} in
+  send_line b b_req;
+  let b_resp = read_response b in
+  Alcotest.(check bool) "A still pending when B is answered" false (readable a);
+  (* A's line was read no later than B's, so it is admitted: drain it *)
+  Unix.kill pid Sys.sigterm;
+  Alcotest.(check (list string)) "B's answer = one-shot" (run_serve "" [ b_req ])
+    (b_resp :: finish_conn b);
+  match finish_conn a with
+  | [ l ] -> Alcotest.(check bool) "A answered ok" true (Astring.String.is_infix ~affix:{|"ok":true|} l)
+  | ls -> Alcotest.failf "A: expected one response, got %d" (List.length ls)
+
+let test_serve_pipelined_order () =
+  (* lines pipelined on one connection, the heavy one first, come back in
+     arrival order and byte-identical to the pipe transport, minted ids
+     included *)
+  socket_daemon [ "--jobs"; "2" ] @@ fun ~connect ~after:_ ~pid:_ ->
+  let lines =
+    [ heavy "p0"; {|{"kernel":"matvec","m":64}|}; {|{"id":"p2","kernel":"nbody","m":256}|};
+      {|{"kernel":"mm","m":64}|} ]
+  in
+  let fd = connect () in
+  List.iter (send_line fd) lines;
+  Alcotest.(check (list string)) "arrival order, byte-identical" (run_serve "" lines)
+    (finish_conn fd)
+
+let test_serve_domains () =
+  (* --jobs 1 spawns no domain; --jobs 3 spawns two, once, however many
+     requests it serves *)
+  let reqs = [ {|{"kernel":"matvec","m":64}|}; {|{"kernel":"mm","m":64}|} ] in
+  let serve_two ~connect =
+    let a = connect () and b = connect () in
+    List.iter (send_line a) reqs;
+    List.iter (send_line b) reqs;
+    List.iter
+      (fun fd -> Alcotest.(check int) "answered" 2 (List.length (finish_conn fd)))
+      [ a; b ]
+  in
+  List.iter
+    (fun (jobs, spawned) ->
+      socket_daemon [ "--jobs"; string_of_int jobs; "--metrics" ]
+      @@ fun ~connect ~after ~pid:_ ->
+      serve_two ~connect;
+      after :=
+        fun ~stderr ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "--jobs %d: serve.domains_spawned" jobs)
+            (Some spawned)
+            (counter_value "serve.domains_spawned" stderr);
+          Alcotest.(check (option int)) "no pool domains" (Some 0)
+            (counter_value "pool.domains_spawned" stderr))
+    [ (1, 0); (3, 2) ]
+
+let test_serve_overloaded () =
+  (* --queue 1: while a simulation runs, three analytic lines wait on
+     three connections. Whichever round reads the simulation, it has its
+     class's seat; a round that reads more than one analytic line finds
+     the analytic seat taken and answers overloaded with the line's id *)
+  socket_daemon [ "--jobs"; "1"; "--queue"; "1" ] @@ fun ~connect ~after:_ ~pid:_ ->
+  let conns =
+    List.map
+      (fun name ->
+        let fd = connect () in
+        (* a probe answer proves the daemon has accepted the connection *)
+        send_line fd (Printf.sprintf {|{"id":"probe-%s","kernel":"matvec","m":64}|} name);
+        ignore (read_response fd);
+        (name, fd))
+      [ "b"; "c"; "d" ]
+  in
+  let analytic id = Printf.sprintf {|{"id":"%s","kernel":"mm","m":64}|} id in
+  let b = List.assoc "b" conns in
+  send_line b (heavy "h");
+  send_line (List.assoc "c" conns) (analytic "c1");
+  send_line (List.assoc "d" conns) (analytic "d1");
+  send_line b (analytic "b2");
+  let out = List.map (fun (name, fd) -> (name, finish_conn fd)) conns in
+  let id l = Jsonlite.str_member "id" (Result.get_ok (Jsonlite.parse l)) in
+  let ok l = Astring.String.is_infix ~affix:{|"ok":true|} l in
+  Alcotest.(check (list (option string))) "B in arrival order" [ Some "h"; Some "b2" ]
+    (List.map id (List.assoc "b" out));
+  Alcotest.(check bool) "the running simulation is answered" true
+    (ok (List.hd (List.assoc "b" out)));
+  let waiting = List.concat_map (fun (_, ls) -> ls) out |> List.filter (fun l -> id l <> Some "h") in
+  Alcotest.(check int) "every waiting line answered" 3 (List.length waiting);
+  let rejected = List.filter (fun l -> not (ok l)) waiting in
+  Alcotest.(check bool) "at least one overloaded" true (rejected <> []);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) ("overloaded, with its id: " ^ l) true
+        (Astring.String.is_infix ~affix:{|"code":"overloaded"|} l
+        && List.mem (id l) [ Some "c1"; Some "d1"; Some "b2" ]))
+    rejected
+
+let test_serve_drain_queued () =
+  (* --jobs 1: three lines arrive while a simulation runs and are read in
+     one round after it; the analytic one is claimed first, and a SIGTERM
+     sent once it is answered still runs and answers the two simulations
+     waiting behind it *)
+  socket_daemon [ "--jobs"; "1" ] @@ fun ~connect ~after:_ ~pid ->
+  let conns =
+    List.map
+      (fun name ->
+        let fd = connect () in
+        send_line fd (Printf.sprintf {|{"id":"probe-%s","kernel":"matvec","m":64}|} name);
+        ignore (read_response fd);
+        (name, fd))
+      [ "a"; "b"; "c"; "d" ]
+  in
+  let fd name = List.assoc name conns in
+  send_line (fd "a") (heavy "h0");
+  (* h0 takes about a second: it is read and running well before the
+     other three lines are sent *)
+  Unix.sleepf 0.2;
+  send_line (fd "b") (heavy ~n:120 "h1");
+  send_line (fd "c") (heavy ~n:40 "h2");
+  send_line (fd "d") {|{"id":"d0","kernel":"mm","m":64}|};
+  let d0 = read_response (fd "d") in
+  Alcotest.(check bool) "analytic line answered while simulations wait" false
+    (readable (fd "b") || readable (fd "c"));
+  Unix.kill pid Sys.sigterm;
+  let id l = Jsonlite.str_member "id" (Result.get_ok (Jsonlite.parse l)) in
+  Alcotest.(check (option string)) "d0" (Some "d0") (id d0);
+  List.iter
+    (fun (name, want) ->
+      match finish_conn (fd name) with
+      | [ l ] ->
+        Alcotest.(check (option string)) (name ^ " answered") (Some want) (id l);
+        Alcotest.(check bool) (want ^ " ok") true
+          (Astring.String.is_infix ~affix:{|"ok":true|} l)
+      | ls -> Alcotest.failf "%s: expected one response, got %d" name (List.length ls))
+    [ ("a", "h0"); ("b", "h1"); ("c", "h2") ]
 
 let test_serve_cache_dir () =
   (* cold boot fills the caches and snapshots them on drain; a warm boot
@@ -786,6 +980,12 @@ let () =
           Alcotest.test_case "profile telemetry" `Quick test_profile_telemetry;
           Alcotest.test_case "multi-client unix socket" `Quick test_serve_multi_client;
           Alcotest.test_case "tcp transport" `Quick test_serve_tcp;
+          Alcotest.test_case "no head-of-line blocking at --jobs 2" `Quick
+            test_serve_no_head_of_line;
+          Alcotest.test_case "pipelined lines in arrival order" `Quick test_serve_pipelined_order;
+          Alcotest.test_case "persistent domains" `Quick test_serve_domains;
+          Alcotest.test_case "per-class waiting cap" `Quick test_serve_overloaded;
+          Alcotest.test_case "SIGTERM drains queued requests" `Quick test_serve_drain_queued;
           Alcotest.test_case "cache-dir warm boot" `Quick test_serve_cache_dir;
         ] );
     ]

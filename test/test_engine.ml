@@ -279,6 +279,77 @@ let test_memo_sharded_domain_stress () =
         (value_of (int_of_string (String.sub key 4 3))) v)
     alist
 
+(* [n] domains that each wait at a latch until all have started, then
+   call [f i]; returns the results in domain order. *)
+let race n f =
+  let started = Atomic.make 0 in
+  let go i () =
+    Atomic.incr started;
+    while Atomic.get started < n do
+      Domain.cpu_relax ()
+    done;
+    f i
+  in
+  let spawned = List.init (n - 1) (fun i -> Domain.spawn (go (i + 1))) in
+  let first = go 0 () in
+  first :: List.map Domain.join spawned
+
+let test_memo_single_flight () =
+  (* N domains miss on one key at once: one computes, the rest wait for
+     its value, and every caller gets it *)
+  let memo : int Memo.t = Memo.create () in
+  let n = 4 in
+  let computes = Atomic.make 0 and arrived = Atomic.make 0 in
+  let compute () =
+    Atomic.incr computes;
+    (* stay in flight until every domain has asked for the key *)
+    while Atomic.get arrived < n do
+      Domain.cpu_relax ()
+    done;
+    Unix.sleepf 0.01;
+    42
+  in
+  let got =
+    race n (fun _ ->
+      Atomic.incr arrived;
+      Memo.find_or_add memo "shape" compute)
+  in
+  Alcotest.(check (list int)) "every caller gets the value" (List.init n (fun _ -> 42)) got;
+  Alcotest.(check int) "computed once" 1 (Atomic.get computes);
+  Alcotest.(check int) "one miss" 1 (Memo.misses memo);
+  Alcotest.(check int) "the waiters count as hits" (n - 1) (Memo.hits memo)
+
+let test_memo_single_flight_failure () =
+  (* the first computation raises: its caller gets the exception, the
+     key is not poisoned, and one waiter computes it afresh *)
+  let memo : int Memo.t = Memo.create () in
+  let n = 4 in
+  let computes = Atomic.make 0 and arrived = Atomic.make 0 in
+  let compute () =
+    let k = Atomic.fetch_and_add computes 1 in
+    while Atomic.get arrived < n do
+      Domain.cpu_relax ()
+    done;
+    if k = 0 then begin
+      Unix.sleepf 0.01;
+      failwith "first compute fails"
+    end
+    else 7
+  in
+  let got =
+    race n (fun _ ->
+      Atomic.incr arrived;
+      match Memo.find_or_add memo "shape" compute with
+      | v -> Ok v
+      | exception Failure msg -> Error msg)
+  in
+  Alcotest.(check int) "one caller saw the failure" 1
+    (List.length (List.filter Result.is_error got));
+  Alcotest.(check int) "the others got the retried value" (n - 1)
+    (List.length (List.filter (( = ) (Ok 7)) got));
+  Alcotest.(check int) "failed once, computed once more" 2 (Atomic.get computes);
+  Alcotest.(check (option int)) "the value is cached" (Some 7) (Memo.find_opt memo "shape")
+
 let prop_memo_sharding_invisible =
   (* Whatever the shard count (1 rounds up from anything), the table
      behaves like one hashtable: add is first-writer-wins and find_opt
@@ -649,6 +720,9 @@ let () =
       ( "memo-sharded",
         [
           Alcotest.test_case "domain stress" `Quick test_memo_sharded_domain_stress;
+          Alcotest.test_case "single flight" `Quick test_memo_single_flight;
+          Alcotest.test_case "single flight after a failure" `Quick
+            test_memo_single_flight_failure;
           QCheck_alcotest.to_alcotest prop_memo_sharding_invisible;
         ] );
       ( "partition",

@@ -178,6 +178,15 @@ let export_parallel_trace () =
   Obs.Trace.disable ();
   Obs.Trace.export_json ()
 
+(* The lane names of an exported trace's thread_name metadata records. *)
+let exported_lane_names json =
+  List.filter_map
+    (fun e ->
+      match (Jsonlite.str_member "ph" e, Jsonlite.str_member "name" e, Jsonlite.member "args" e) with
+      | Some "M", Some "thread_name", Some args -> Jsonlite.str_member "name" args
+      | _ -> None)
+    (Option.get (Jsonlite.list_member "traceEvents" json))
+
 let test_chrome_json_valid () =
   Pipeline.reset_caches ();
   let j = export_parallel_trace () in
@@ -244,6 +253,34 @@ let test_chrome_json_valid () =
     Alcotest.(check bool) "simplex solves traced" true
       (List.exists (fun e -> Jsonlite.str_member "name" e = Some "simplex.solve") xs)
 
+let test_lane_names_across_pool_calls () =
+  (* two pool calls in one trace session, each spawning two workers: the
+     spawned lanes are numbered across calls, so no name repeats *)
+  Pipeline.reset_caches ();
+  Obs.reset ();
+  Obs.Trace.enable ();
+  let spec = Kernels.matmul ~l1:16 ~l2:16 ~l3:16 in
+  let reqs =
+    List.map
+      (fun m -> Pipeline.request ~sims:[ Pipeline.sim Pipeline.Optimal ] ~shared:true spec ~m)
+      [ 64; 96; 128; 192; 256; 384; 512; 768 ]
+  in
+  List.iter
+    (function
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "sweep: %s" (Engine_error.to_string e))
+    (Pipeline.sweep_checked ~jobs:3 reqs);
+  let wait = latch 3 in
+  ignore (Pool.map_list ~jobs:3 (fun _ -> Obs.Trace.with_span "t.work" wait) (List.init 12 Fun.id));
+  Obs.Trace.disable ();
+  let json = Result.get_ok (Jsonlite.parse (Obs.Trace.export_json ())) in
+  let lane_names = exported_lane_names json in
+  Alcotest.(check int) "lane names distinct" (List.length lane_names)
+    (List.length (List.sort_uniq compare lane_names));
+  (* the latched map alone puts spans on both of its spawned workers *)
+  Alcotest.(check bool) "worker lanes of the second call present" true
+    (List.length (List.filter (Astring.String.is_prefix ~affix:"worker-") lane_names) >= 2)
+
 let test_write_file () =
   Pipeline.reset_caches ();
   let j = export_parallel_trace () in
@@ -274,5 +311,7 @@ let () =
         [
           Alcotest.test_case "chrome JSON validity" `Quick test_chrome_json_valid;
           Alcotest.test_case "write_file" `Quick test_write_file;
+          Alcotest.test_case "lane names across pool calls" `Quick
+            test_lane_names_across_pool_calls;
         ] );
     ]
