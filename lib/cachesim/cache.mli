@@ -25,6 +25,7 @@ type t
 
 val create :
   ?line_words:int ->
+  ?lines:int ->
   ?on_evict:(line:int -> dirty:bool -> unit) ->
   policy:Policy.t ->
   capacity:int ->
@@ -34,13 +35,25 @@ val create :
     is called for every line leaving the cache (evictions and
     {!flush}) — {!module:Hierarchy} uses it to forward dirty write-backs
     to the next level.
+
+    [lines] is the caller's promise that every accessed line lies in
+    [[0, lines)], i.e. every address in [[0, lines * line_words)]. The
+    line-to-slot map is then a flat table of [lines] 4-byte entries
+    (allocated off the OCaml heap) instead of a hash table: one lookup
+    per access. Statistics are identical either way. An access to a line
+    outside the range raises [Invalid_argument] and leaves the cache
+    unchanged. Without [lines] any address is accepted, negative ones
+    included.
     @raise Invalid_argument on a non-positive size, [line_words] not
-    dividing into capacity at least once, or [policy = Opt]. *)
+    dividing into capacity at least once, [lines] outside
+    [[0, 2^31)], or [policy = Opt]. *)
 
 val access : t -> write:bool -> int -> unit
-(** Touch one word at the given address. Negative addresses are valid;
-    line mapping uses floor division so every line spans exactly
-    [line_words] words. *)
+(** Touch one word at the given address. Negative addresses are valid
+    for a cache created without [lines]; line mapping uses floor
+    division so every line spans exactly [line_words] words.
+    @raise Invalid_argument if the cache was created with [lines] and
+    the address's line is outside [[0, lines)]. *)
 
 val access_run : t -> write:bool -> count:int -> int -> unit
 (** [access_run t ~write ~count addr] — [count] consecutive touches of
@@ -61,7 +74,9 @@ val flush : t -> unit
 val stats : t -> stats
 val capacity_lines : t -> int
 val resident : t -> int -> bool
-(** Is the line containing this word address currently cached? *)
+(** Is the line containing this word address currently cached?
+    @raise Invalid_argument like {!access} for a line outside
+    [[0, lines)]. *)
 
 val record_obs : ?prefix:string -> stats -> unit
 (** Add a finished run's statistics to the global {!Obs} counters

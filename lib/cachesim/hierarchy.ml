@@ -1,6 +1,6 @@
 type t = { caches : Cache.t array; line_words : int }
 
-let create ?(line_words = 1) ?(policy = Policy.Lru) ~capacities () =
+let create ?(line_words = 1) ?lines ?(policy = Policy.Lru) ~capacities () =
   let n = Array.length capacities in
   if n = 0 then invalid_arg "Hierarchy.create: need at least one level";
   for k = 1 to n - 1 do
@@ -25,7 +25,8 @@ let create ?(line_words = 1) ?(policy = Policy.Lru) ~capacities () =
             if dirty then Cache.access next ~write:true (line * line_words))
       end
     in
-    caches.(k) <- Some (Cache.create ~line_words ?on_evict ~policy ~capacity:capacities.(k) ())
+    caches.(k) <-
+      Some (Cache.create ~line_words ?lines ?on_evict ~policy ~capacity:capacities.(k) ())
   done;
   let caches = Array.map (function Some c -> c | None -> assert false) caches in
   { caches; line_words }

@@ -12,10 +12,13 @@
 
 type t
 
-val create : ?line_words:int -> ?policy:Policy.t -> capacities:int array -> unit -> t
+val create :
+  ?line_words:int -> ?lines:int -> ?policy:Policy.t -> capacities:int array -> unit -> t
 (** [capacities] are the level sizes in words, fastest (smallest) first;
     they must be strictly increasing. Default policy is LRU at every
-    level.
+    level. [lines] is passed to every level's {!Cache.create}: the
+    promise that every line lies in [[0, lines)], for a flat line table
+    per level.
     @raise Invalid_argument on an empty or non-increasing ladder, or
     [policy = Opt]. *)
 

@@ -158,6 +158,18 @@ let trace_of spec ~schedule =
   assert (!pos = Array.length buf);
   buf
 
+(* The walker's caches get a dense line table: [Layout] addresses fill
+   [[0, total_words)], so every line lies below
+   [ceil (total_words / line_words)]. A table is 4 bytes per line per
+   cache; past [dense_lines_limit] lines (16 MiB) the hashed table
+   serves instead, so a huge layout cannot make a simulation allocate
+   without bound. *)
+let dense_lines_limit = 1 lsl 22
+
+let dense_lines spec ~line_words =
+  let lines = (Spec.total_array_words spec + line_words - 1) / line_words in
+  if lines <= dense_lines_limit then Some lines else None
+
 let lru_lines policy ~line_words capacity =
   match policy with
   | Policy.Lru -> Some (capacity / line_words)
@@ -166,7 +178,9 @@ let lru_lines policy ~line_words capacity =
 let run_hierarchy ?(line_words = 1) ?(policy = Policy.Lru) spec ~schedule ~capacities =
   Obs.Trace.with_span "executor.run_hierarchy" (fun () ->
   Obs.time t_run_hierarchy (fun () ->
-  let h = Hierarchy.create ~line_words ~policy ~capacities () in
+  let h =
+    Hierarchy.create ~line_words ?lines:(dense_lines spec ~line_words) ~policy ~capacities ()
+  in
   record_walk
     (walk ?lru_lines:(lru_lines policy ~line_words capacities.(0)) ~line_words spec schedule
        (fun ~first_write ~any_write ~count addr ->
@@ -192,7 +206,9 @@ let run ?(line_words = 1) ?(policy = Policy.Lru) spec ~schedule ~capacity =
           (Printf.sprintf "Executor.run: OPT trace of %d accesses is too large" len);
       Trace.simulate ~line_words ~policy ~capacity (trace_of spec ~schedule)
     | Policy.Lru | Policy.Fifo ->
-      let cache = Cache.create ~line_words ~policy ~capacity () in
+      let cache =
+        Cache.create ~line_words ?lines:(dense_lines spec ~line_words) ~policy ~capacity ()
+      in
       record_walk
         (walk ?lru_lines:(lru_lines policy ~line_words capacity) ~line_words spec schedule
            (fun ~first_write:_ ~any_write ~count addr ->

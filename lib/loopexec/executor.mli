@@ -14,11 +14,20 @@
     and {!trace_of}. In the projective case array [j]'s address is
     [base_j + sum_i stride_j.(i) * x_i] ({!Layout.strides}), so along a
     row of {!Schedules.iterate_rows} every array moves by a constant
-    step, [0] when the innermost loop is outside its support. Each row
-    computes every array's start address once and then runs a counted
-    loop adding the steps; strictly consecutive touches of one line merge
-    into a {!Cache.access_run} / {!Hierarchy.access_run} call
-    ([cachesim.batched_runs]).
+    step, [0] when the row's loop is outside its support. The row's loop
+    is the innermost loop that still varies in the current block (loops
+    inside it have one value there), not always the last loop: a
+    Theorem-3 tile such as [[152; 1]] walks rows of 152 points along its
+    first loop instead of 152 rows of one point. Nothing below depends
+    on which loop the row runs along. Each row computes every array's
+    start address once and then runs a counted loop adding the steps;
+    strictly consecutive touches of one line merge into a
+    {!Cache.access_run} / {!Hierarchy.access_run} call
+    ([cachesim.batched_runs]). The caches get a dense line table
+    ([Cache.create ~lines]): layout addresses fill
+    [[0, Layout.total_words)], so a line's slot is one array access,
+    for layouts up to 2^22 lines (16 MiB of table); larger ones use the
+    hashed table.
 
     {b Elision (LRU only).} With [C] first-level lines, [n] arrays and
     [v >= 1] of them varying along the row, and [C >= 2n]: the row's

@@ -71,24 +71,36 @@ let iterate_rows spec sched f =
   let d = Spec.num_loops spec in
   let bounds = spec.Spec.bounds in
   let point = Array.make d 0 in
-  match sched with
-  | Untiled | Permuted _ ->
-    let order = match sched with Permuted p -> p | _ -> Array.init d (fun i -> i) in
-    let inner = order.(d - 1) in
-    let rec go k =
-      if k = d - 1 then begin
-        point.(inner) <- 0;
-        f point inner 0 bounds.(inner)
+  (* The rows of the box [lo, hi) in lexicographic order over [order]
+     (outermost first). The row runs along the innermost loop with more
+     than one value in the box (the last loop when none has); the loops
+     inside it have a single value and stay fixed at it, so rows stay
+     long when the innermost tile extent is 1. *)
+  let box order lo hi =
+    let row = ref (d - 1) in
+    while !row > 0 && hi.(order.(!row)) - lo.(order.(!row)) = 1 do
+      point.(order.(!row)) <- lo.(order.(!row));
+      decr row
+    done;
+    let row = !row in
+    let rec rows k =
+      let i = order.(k) in
+      if k = row then begin
+        point.(i) <- lo.(i);
+        f point i lo.(i) hi.(i)
       end
-      else begin
-        let i = order.(k) in
-        for v = 0 to bounds.(i) - 1 do
+      else
+        for v = lo.(i) to hi.(i) - 1 do
           point.(i) <- v;
-          go (k + 1)
+          rows (k + 1)
         done
-      end
     in
-    go 0
+    rows 0
+  in
+  let identity = Array.init d (fun i -> i) and origin = Array.make d 0 in
+  match sched with
+  | Untiled -> box identity origin bounds
+  | Permuted p -> box p origin bounds
   | Tiled _ | Nested _ ->
     (* Outermost tile level first; [levels = []] means single points. *)
     let levels =
@@ -98,23 +110,11 @@ let iterate_rows spec sched f =
       | Untiled | Permuted _ -> assert false
     in
     (* Iterate blocks of [tile] inside the box [lo, hi), recursing into
-       the remaining levels within each block; inside the innermost
-       block, hand over one row of the last loop at a time. *)
+       the remaining levels within each block; the innermost blocks are
+       handed over row by row. *)
     let rec walk levels lo hi =
       match levels with
-      | [] ->
-        let rec rows i =
-          if i = d - 1 then begin
-            point.(i) <- lo.(i);
-            f point i lo.(i) hi.(i)
-          end
-          else
-            for v = lo.(i) to hi.(i) - 1 do
-              point.(i) <- v;
-              rows (i + 1)
-            done
-        in
-        rows 0
+      | [] -> box identity lo hi
       | tile :: rest ->
         let block_lo = Array.copy lo and block_hi = Array.copy hi in
         let rec blocks i =
@@ -131,7 +131,7 @@ let iterate_rows spec sched f =
         in
         blocks 0
     in
-    walk levels (Array.make d 0) (Array.copy bounds)
+    walk levels origin bounds
 
 let iterate spec sched f =
   iterate_rows spec sched (fun point inner lo hi ->

@@ -38,10 +38,15 @@ val iterate_rows : Spec.t -> t -> (int array -> int -> int -> int -> unit) -> un
 (** [iterate_rows spec sched (fun point inner lo hi -> ...)] visits every
     innermost row in schedule order: the points [point] with
     [point.(inner)] running over [[lo, hi)], all other coordinates fixed.
-    [inner] is the schedule's innermost loop — the last loop, or the last
-    entry of a [Permuted] order — and a row spans that loop's bound
-    ([Untiled], [Permuted]) or the innermost tile's extent along it
-    ([Tiled], [Nested]); rows are never empty. [point.(inner) = lo] on
+    [inner] is the innermost loop that still varies: in nesting order
+    (the loop indices, or a [Permuted] order), the innermost loop with
+    more than one value in the current block — the whole iteration space
+    for [Untiled] and [Permuted], the innermost tile block for [Tiled]
+    and [Nested] — or the last loop when none has. The loops nested
+    inside it have a single value there and stay fixed at it, so the
+    visit order is the lexicographic one, and a tile of inner extent 1
+    (e.g. [[152; 1]]) still has rows of [152] points. A row spans the
+    block along [inner]; rows are never empty. [point.(inner) = lo] on
     entry; the callback may overwrite [point.(inner)] but no other
     coordinate. The array is reused across rows. This is the executor's
     traversal: it turns each row into per-array strided address runs

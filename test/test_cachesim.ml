@@ -400,6 +400,115 @@ let batched_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Dense line table vs hashed line table                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A trace in range for a [~lines] cache, replayed through [access] and
+   batched [access_run] calls with a [flush] at a random point; [bad]
+   inserts one out-of-range address before step [at]. *)
+type dense_case = {
+  line_words : int;
+  lines : int;
+  cap_lines : int;
+  steps : (int * bool * int) list;  (* addr, write, count *)
+  flush_at : int;
+  bad : (int * int) option;  (* at, addr *)
+}
+
+let gen_dense_case =
+  QCheck.Gen.(
+    oneofl [ 1; 2; 4 ] >>= fun line_words ->
+    int_range 1 24 >>= fun lines ->
+    int_range 1 8 >>= fun cap_lines ->
+    let words = lines * line_words in
+    list_size (int_range 1 200) (triple (int_bound (words - 1)) bool (int_range 1 3))
+    >>= fun steps ->
+    int_bound (List.length steps) >>= fun flush_at ->
+    opt
+      (pair (int_bound (List.length steps))
+         (oneof [ int_range (-8) (-1); int_range words (words + 8); return max_int ]))
+    >>= fun bad -> return { line_words; lines; cap_lines; steps; flush_at; bad })
+
+let print_dense_case c =
+  Printf.sprintf "line_words %d, lines %d, cap_lines %d, flush at %d, bad %s: %s" c.line_words
+    c.lines c.cap_lines c.flush_at
+    (match c.bad with None -> "-" | Some (at, a) -> Printf.sprintf "%d@%d" a at)
+    (String.concat ","
+       (List.map
+          (fun (a, w, n) -> Printf.sprintf "%s%d*%d" (if w then "w" else "r") a n)
+          c.steps))
+
+let arb_dense_case = QCheck.make ~print:print_dense_case gen_dense_case
+
+(* Replay the case into a cache made by [make ~on_evict]; returns the
+   final stats, the [on_evict] sequence and the [resident] answers seen
+   after every step. An out-of-range access must raise
+   [Invalid_argument] and change nothing; [None] if it does not raise. *)
+let replay_dense_case c make =
+  let evicted = ref [] in
+  let cache = make ~on_evict:(fun ~line ~dirty -> evicted := (line, dirty) :: !evicted) in
+  let resident = ref [] in
+  let ok = ref true in
+  List.iteri
+    (fun i (addr, write, count) ->
+      (match c.bad with
+      | Some (at, bad) when at = i ->
+        let before = Cache.stats cache in
+        (match Cache.access cache ~write bad with
+        | () -> ok := false
+        | exception Invalid_argument _ -> ());
+        if Cache.stats cache <> before then ok := false
+      | _ -> ());
+      if i = c.flush_at then Cache.flush cache;
+      if count = 1 then Cache.access cache ~write addr
+      else Cache.access_run cache ~write ~count addr;
+      resident := Cache.resident cache addr :: !resident)
+    c.steps;
+  Cache.flush cache;
+  if !ok then Some (Cache.stats cache, List.rev !evicted, List.rev !resident) else None
+
+let dense_props =
+  [
+    QCheck.Test.make ~name:"dense line table = hashed line table" ~count:500 arb_dense_case
+      (fun c ->
+        List.for_all
+          (fun policy ->
+            let capacity = c.cap_lines * c.line_words in
+            let hashed =
+              replay_dense_case { c with bad = None } (fun ~on_evict ->
+                Cache.create ~line_words:c.line_words ~on_evict ~policy ~capacity ())
+            in
+            let dense =
+              replay_dense_case c (fun ~on_evict ->
+                Cache.create ~line_words:c.line_words ~lines:c.lines ~on_evict ~policy
+                  ~capacity ())
+            in
+            hashed <> None && dense = hashed)
+          [ Policy.Lru; Policy.Fifo ]);
+  ]
+
+let test_dense_validation () =
+  Alcotest.check_raises "negative lines"
+    (Invalid_argument "Cache.create: lines outside [0, 2^31)") (fun () ->
+    ignore (Cache.create ~lines:(-1) ~policy:Policy.Lru ~capacity:4 ()));
+  Alcotest.check_raises "lines past int32"
+    (Invalid_argument "Cache.create: lines outside [0, 2^31)") (fun () ->
+    ignore (Cache.create ~lines:(1 lsl 31) ~policy:Policy.Lru ~capacity:4 ()));
+  (* The last word of the last line is in range, the next word is not. *)
+  let c = Cache.create ~line_words:4 ~lines:3 ~policy:Policy.Lru ~capacity:8 () in
+  Cache.access c ~write:true 11;
+  Alcotest.(check bool) "word 11 resident" true (Cache.resident c 8);
+  Alcotest.(check bool) "word 12 refused" true
+    (match Cache.access c ~write:false 12 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "resident refuses too" true
+    (match Cache.resident c (-1) with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check int) "refused accesses not counted" 1 (Cache.stats c).Cache.accesses
+
+(* ------------------------------------------------------------------ *)
 (* Hierarchy                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -515,6 +624,7 @@ let () =
           Alcotest.test_case "line granularity" `Quick test_line_granularity;
           Alcotest.test_case "online API" `Quick test_online_cache_api;
           Alcotest.test_case "create validation" `Quick test_create_validation;
+          Alcotest.test_case "dense table validation" `Quick test_dense_validation;
           Alcotest.test_case "words_touched" `Quick test_words_touched;
           Alcotest.test_case "OPT = brute force" `Quick test_opt_matches_brute_force;
           Alcotest.test_case "negative address lines" `Quick test_negative_address_lines;
@@ -533,4 +643,5 @@ let () =
       ("properties", List.map QCheck_alcotest.to_alcotest props);
       ("batched-properties", List.map QCheck_alcotest.to_alcotest batched_props);
       ("hierarchy-properties", List.map QCheck_alcotest.to_alcotest hierarchy_props);
+      ("dense-properties", List.map QCheck_alcotest.to_alcotest dense_props);
     ]

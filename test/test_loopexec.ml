@@ -513,16 +513,31 @@ let print_walker_case (spec, sched, line_words, capacity) =
 
 let arb_walker_case = QCheck.make ~print:print_walker_case gen_walker_case
 
+(* Zero tolerance: the walker's statistics are those of the per-point
+   replay, under both online policies. *)
+let run_matches_reference (spec, sched, line_words, capacity) =
+  let trace = reference_trace spec sched in
+  List.for_all
+    (fun policy ->
+      (Executor.run ~line_words ~policy spec ~schedule:sched ~capacity).Executor.stats
+      = Trace.simulate ~line_words ~policy ~capacity trace)
+    [ Policy.Lru; Policy.Fifo ]
+
 let walker_props =
   [
     QCheck.Test.make ~name:"row walker = per-point reference trace (LRU, FIFO)" ~count:1000
+      arb_walker_case run_matches_reference;
+    QCheck.Test.make ~name:"row walker = reference, innermost tile extent 1" ~count:500
       arb_walker_case (fun (spec, sched, line_words, capacity) ->
-        let trace = reference_trace spec sched in
-        List.for_all
-          (fun policy ->
-            (Executor.run ~line_words ~policy spec ~schedule:sched ~capacity).Executor.stats
-            = Trace.simulate ~line_words ~policy ~capacity trace)
-          [ Policy.Lru; Policy.Fifo ]);
+        (* Rows then run along an outer loop of the block. *)
+        let unit_inner b = Array.mapi (fun i v -> if i = Array.length b - 1 then 1 else v) b in
+        let sched =
+          match sched with
+          | Schedules.Tiled b -> Schedules.Tiled (unit_inner b)
+          | Schedules.Nested (b :: outer) -> Schedules.Nested (unit_inner b :: outer)
+          | s -> s
+        in
+        run_matches_reference (spec, sched, line_words, capacity));
     QCheck.Test.make ~name:"trace_of = per-point reference trace" ~count:300 arb_walker_case
       (fun (spec, sched, _, _) ->
         Executor.trace_of spec ~schedule:sched = reference_trace spec sched);
@@ -542,6 +557,154 @@ let walker_props =
             && r.Executor.boundary_words = Hierarchy.traffic h)
           [ Policy.Lru; Policy.Fifo ]);
   ]
+
+(* ------------------------------------------------------------------ *)
+(* The row rule                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The schedule order written out naively: the points of a box in
+   lexicographic order (over [order], outermost first), and tiled
+   schedules as the lexicographic walk over blocks, clipped at the
+   bounds, one level inside the other. *)
+let naive_points spec sched =
+  let d = Spec.num_loops spec in
+  let range lo hi = List.init (hi - lo) (fun t -> lo + t) in
+  let box order lo hi =
+    let rec go k p =
+      if k = d then [ p ]
+      else begin
+        let i = order.(k) in
+        List.concat_map
+          (fun v ->
+            let q = Array.copy p in
+            q.(i) <- v;
+            go (k + 1) q)
+          (range lo.(i) hi.(i))
+      end
+    in
+    go 0 (Array.copy lo)
+  in
+  let ident = Array.init d Fun.id and zero = Array.make d 0 in
+  let rec blocks levels lo hi =
+    match levels with
+    | [] -> box ident lo hi
+    | tile :: rest ->
+      let counts = Array.init d (fun i -> (hi.(i) - lo.(i) + tile.(i) - 1) / tile.(i)) in
+      List.concat_map
+        (fun idx ->
+          let blo = Array.init d (fun i -> lo.(i) + (idx.(i) * tile.(i))) in
+          blocks rest blo (Array.init d (fun i -> min hi.(i) (blo.(i) + tile.(i)))))
+        (box ident zero counts)
+  in
+  match sched with
+  | Schedules.Untiled -> box ident zero spec.Spec.bounds
+  | Schedules.Permuted p -> box p zero spec.Spec.bounds
+  | Schedules.Tiled b -> blocks [ b ] zero spec.Spec.bounds
+  | Schedules.Nested tiles -> blocks (List.rev tiles) zero spec.Spec.bounds
+
+(* Every row of [iterate_rows], checked against the contract: [lo < hi]
+   and [point.(inner) = lo] on entry. *)
+let rows_of spec sched =
+  let rows = ref [] in
+  Schedules.iterate_rows spec sched (fun point inner lo hi ->
+    if not (lo < hi && point.(inner) = lo) then Alcotest.fail "row contract";
+    rows := (Array.copy point, inner, lo, hi) :: !rows);
+  List.rev !rows
+
+let unroll rows =
+  List.concat_map
+    (fun (p, inner, lo, hi) ->
+      List.init (hi - lo) (fun t ->
+        let q = Array.copy p in
+        q.(inner) <- lo + t;
+        q))
+    rows
+
+let gen_row_case =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun d ->
+    array_size (return d) (int_range 1 7) >>= fun bounds ->
+    let spec =
+      Spec.create_exn ~name:"rows" ~loops:(Array.init d (Printf.sprintf "x%d")) ~bounds
+        ~arrays:[| Spec.array_ref ~mode:Spec.Update "A" (List.init d Fun.id) |]
+    in
+    (* Extents of 1 in the innermost loops are the case the rule is for;
+       extents that do not divide the bound give clipped edge blocks. *)
+    let tile =
+      int_bound d >>= fun ones ->
+      array_size (return d) (int_range 1 7) >|= fun raw ->
+      Array.mapi (fun i v -> if i >= d - ones then 1 else 1 + (v mod bounds.(i))) raw
+    in
+    oneof
+      [
+        return Schedules.Untiled;
+        shuffle_l (List.init d Fun.id) >|= (fun p -> Schedules.Permuted (Array.of_list p));
+        tile >|= (fun b -> Schedules.Tiled b);
+        pair tile tile >|= (fun (a, b) -> Schedules.Nested [ Array.map2 min a b; Array.map2 max a b ]);
+      ]
+    >|= fun sched -> (spec, sched))
+
+let arb_row_case =
+  QCheck.make
+    ~print:(fun (s, sched) -> Format.asprintf "%a / %s" Spec.pp s (Schedules.description s sched))
+    gen_row_case
+
+let row_props =
+  [
+    QCheck.Test.make ~name:"iterate_rows and iterate = naive lexicographic tile walk" ~count:500
+      arb_row_case (fun (spec, sched) ->
+        let naive = naive_points spec sched in
+        unroll (rows_of spec sched) = naive && collect spec sched = naive);
+    QCheck.Test.make ~name:"rows run along the innermost loop that varies" ~count:500
+      arb_row_case (fun (spec, sched) ->
+        (* The expected row through a row's first point: the innermost
+           loop (in nesting order) with more than one value in the
+           point's block, spanning the block; the last loop if none.
+           Nested blocks are left to the point-sequence property. *)
+        let d = Spec.num_loops spec and bounds = spec.Spec.bounds in
+        let expected p =
+          let pick order span =
+            let k = ref (d - 1) in
+            while !k > 0 && (let lo, hi = span order.(!k) in hi - lo = 1) do
+              decr k
+            done;
+            let lo, hi = span order.(!k) in
+            Some (order.(!k), lo, hi)
+          in
+          match sched with
+          | Schedules.Untiled -> pick (Array.init d Fun.id) (fun i -> (0, bounds.(i)))
+          | Schedules.Permuted order -> pick order (fun i -> (0, bounds.(i)))
+          | Schedules.Tiled b ->
+            pick (Array.init d Fun.id) (fun i ->
+              let o = p.(i) / b.(i) * b.(i) in
+              (o, min bounds.(i) (o + b.(i))))
+          | Schedules.Nested _ -> None
+        in
+        List.for_all
+          (fun (p, inner, lo, hi) ->
+            match expected p with None -> true | Some e -> e = (inner, lo, hi))
+          (rows_of spec sched));
+  ]
+
+let test_outer_product_unit_inner_extent () =
+  (* The Theorem-3 tile [152, 1] of outer_product 152x520 at m = 456:
+     the innermost extent is 1, so each block is one row along x1 (520
+     rows of 152 points, not 79,040 rows of one), the invariant b[j]'s
+     touches are elided, and the statistics equal the per-point replay
+     and the figures of the one-point-row walker. *)
+  let spec = Kernels.outer_product ~m:152 ~n:520 in
+  let sched = Schedules.Tiled [| 152; 1 |] and capacity = 456 in
+  let rows = rows_of spec sched in
+  Alcotest.(check int) "rows" 520 (List.length rows);
+  Alcotest.(check bool) "rows along x1" true
+    (List.for_all (fun (_, inner, lo, hi) -> inner = 0 && lo = 0 && hi = 152) rows);
+  let r, elided = elided_by (fun () -> Executor.run spec ~schedule:sched ~capacity) in
+  Alcotest.(check bool) (Printf.sprintf "elided %d > 0" elided) true (elided > 0);
+  let reference = Trace.simulate ~policy:Policy.Lru ~capacity (reference_trace spec sched) in
+  Alcotest.(check bool) "stats equal the per-point reference" true (r.Executor.stats = reference);
+  Alcotest.(check int) "misses" 79712 r.Executor.stats.Cache.misses;
+  Alcotest.(check int) "writebacks" 79040 r.Executor.stats.Cache.writebacks;
+  Alcotest.(check int) "words moved" 158752 r.Executor.words_moved
 
 let props =
   [
@@ -615,5 +778,9 @@ let () =
           Alcotest.test_case "hierarchy: nested wins" `Quick test_hierarchy_execution_nested_wins;
           Alcotest.test_case "hierarchy stats shape" `Quick test_hierarchy_execution_stats_shape;
         ] );
+      ( "row-rule",
+        Alcotest.test_case "outer_product [152,1] rows along x1" `Quick
+          test_outer_product_unit_inner_extent
+        :: List.map QCheck_alcotest.to_alcotest row_props );
       ("properties", List.map QCheck_alcotest.to_alcotest props);
     ]
