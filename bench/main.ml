@@ -777,7 +777,7 @@ let e18 () =
   print_endline "and bound, with zero simplex solves."
 
 (* ------------------------------------------------------------------ *)
-(* E19 — serve concurrency: class-aware work stealing vs coarse FIFO   *)
+(* E19 — serve concurrency: class-aware queues vs coarse FIFO          *)
 (* ------------------------------------------------------------------ *)
 
 let t_fifo_analytic = Obs.timer "bench.e19.fifo_wait.analytic"
@@ -816,8 +816,8 @@ let e19 () =
   (* The concurrent-serve regime: slow simulation requests land just
      ahead of a burst of cheap analytic ones — the adversarial order for
      a class-blind FIFO, where every analytic request queues behind all
-     the simulation work. The class-aware scheduler (per-domain
-     work-stealing deques, all analytic work claimed before any
+     the simulation work. The class-aware scheduler ({!Pool}: two class
+     queues under one lock, all analytic work claimed before any
      simulation work, simulation tails split off as separate tasks) is
      the arm under test; [fifo_sweep] above is the ablation baseline.
      The gate is the analytic-class p99 queue wait, enforced against
@@ -866,9 +866,6 @@ let e19 () =
       | Some t -> Obs.percentile t.Obs.tdist 99.0 /. 1e6
       | None -> 0.0
     in
-    let counter name =
-      match List.assoc_opt name d.Obs.scounters with Some n -> n | None -> 0
-    in
     let jsons =
       List.map
         (function
@@ -876,7 +873,7 @@ let e19 () =
           | Error e -> "error:" ^ Engine_error.code e)
         results
     in
-    (jsons, p99 (wait ^ ".analytic"), p99 (wait ^ ".simulation"), counter "pool.steals")
+    (jsons, p99 (wait ^ ".analytic"), p99 (wait ^ ".simulation"))
   in
   (* One run of each arm reads a ratio that moves by about a quarter on
      unchanged code, so the arms run [reps] times, interleaved, and the
@@ -893,18 +890,15 @@ let e19 () =
   Pipeline.reset_caches ();
   let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
   let med f = median (List.map f runs) in
-  let identical = List.for_all (fun ((f, _, _, _), (s, _, _, _)) -> f = s) runs in
-  let ratios =
-    List.map (fun ((_, f, _, _), (_, s, _, _)) -> f /. Float.max s 1e-3) runs
-  in
+  let identical = List.for_all (fun ((f, _, _), (s, _, _)) -> f = s) runs in
+  let ratios = List.map (fun ((_, f, _), (_, s, _)) -> f /. Float.max s 1e-3) runs in
   let ratio = median ratios in
   let lo = List.fold_left Float.min infinity ratios in
   let hi = List.fold_left Float.max neg_infinity ratios in
-  let fifo_p99 = med (fun ((_, p, _, _), _) -> p) in
-  let fifo_sim_p99 = med (fun ((_, _, p, _), _) -> p) in
-  let split_p99 = med (fun (_, (_, p, _, _)) -> p) in
-  let split_sim_p99 = med (fun (_, (_, _, p, _)) -> p) in
-  let steals = List.fold_left (fun n (_, (_, _, _, k)) -> n + k) 0 runs in
+  let fifo_p99 = med (fun ((_, p, _), _) -> p) in
+  let fifo_sim_p99 = med (fun ((_, _, p), _) -> p) in
+  let split_p99 = med (fun (_, (_, p, _)) -> p) in
+  let split_sim_p99 = med (fun (_, (_, _, p)) -> p) in
   rowf "%d requests (%d simulation-class first, then %d analytic-class), %d jobs,\n"
     (List.length reqs) (List.length sim_reqs) (List.length analytic_reqs) jobs;
   rowf "medians of %d interleaved runs of each arm:\n" reps;
@@ -912,10 +906,9 @@ let e19 () =
     "reports identical";
   rowf "  %-22s | %13.3f ms %13.3f ms %18s\n" "coarse FIFO (ablation)" fifo_p99 fifo_sim_p99
     "(reference)";
-  rowf "  %-22s | %13.3f ms %13.3f ms %18s\n" "class-aware stealing" split_p99 split_sim_p99
+  rowf "  %-22s | %13.3f ms %13.3f ms %18s\n" "class-aware queues" split_p99 split_sim_p99
     (if identical then "yes" else "NO");
-  rowf "  analytic p99 improvement: %.1fx median, %.1fx-%.1fx (steals observed: %d)\n" ratio
-    lo hi steals;
+  rowf "  analytic p99 improvement: %.1fx median, %.1fx-%.1fx\n" ratio lo hi;
   note_int "requests" (List.length reqs);
   note_int "split_identical" (if identical then 1 else 0);
   (* _ms / _ratio suffixes: machine-dependent, exempt from compare.exe's
@@ -1189,7 +1182,7 @@ let tables ~s0 () =
       ("E16", "ablation: exact vs float simplex on the tiling LPs  [DESIGN.md]", e16);
       ("E17", "distributed memory-dependent regime (Irony-Toledo-Tiskin shape)  [Sec 7]", e17);
       ("E18", "tiling plans: plan-served vs LP-served, byte-identity and miss collapse", e18);
-      ("E19", "serve concurrency: class-aware work stealing vs coarse FIFO queue wait", e19);
+      ("E19", "serve concurrency: class-aware queues vs coarse FIFO queue wait", e19);
       ("E20", "partition: Pool-simulated schedule = model exactly; Al Daas bounds  [Sec 7]", e20);
     ];
   write_json ~s0 "BENCH_engine.json"

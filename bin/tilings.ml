@@ -683,9 +683,10 @@ let serve_cmd =
           ~doc:
             "Admission cap per request class (analytic, simulation): a line \
              read while $(docv) requests of its class are already waiting for a \
-             domain (over stdin/stdout: $(docv) admitted in the current batch \
-             cycle) is answered with a structured $(b,overloaded) error instead \
-             of buffered without bound.")
+             domain is answered with a structured $(b,overloaded) error instead \
+             of buffered without bound. Over stdin/stdout each line is read by \
+             the domain that will run it, so the pipe never queues more than \
+             one line and never answers $(b,overloaded).")
   in
   let jobs_arg =
     Arg.(
@@ -694,9 +695,9 @@ let serve_cmd =
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "Domains that run requests (default: PROJTILE_JOBS or the \
-             recommended domain count). Resolved once at daemon start; with \
-             $(b,--socket)/$(b,--tcp) the extra $(docv)-1 domains are spawned \
-             once, and 1 runs every request on the domain that read it.")
+             recommended domain count). Resolved once at start: the extra \
+             $(docv)-1 domains are spawned once, and 1 runs every request on the \
+             domain that read it.")
   in
   let deadline_arg =
     Arg.(
@@ -754,17 +755,15 @@ let serve_cmd =
       & info [ "log-level" ] ~docv:"LEVEL"
           ~doc:
             "Minimum level written to the --log sink: $(b,debug) (adds \
-             per-batch (stdin/stdout) and per-pipeline-stage events), \
-             $(b,info), $(b,warn), $(b,error).")
+             per-pipeline-stage events), $(b,info), $(b,warn), $(b,error).")
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Long-running analysis daemon: newline-delimited JSON requests in, one \
           JSON response per request in arrival order, over a warm memo cache. \
-          On stdin/stdout, concurrent requests batch into one parallel sweep; \
-          with --socket/--tcp, persistent domains answer each request as it \
-          arrives")
+          On stdin/stdout and on --socket/--tcp alike, persistent domains \
+          answer each request as it arrives")
     Term.(
       ret
         (const run $ socket_arg $ tcp_arg $ cache_dir_arg $ queue_arg $ jobs_arg

@@ -66,7 +66,7 @@ val run_checked :
 val run_staged :
   ?deadline:float -> request -> (Report.t, Engine_error.t) result Pool.staged
 (** {!run_checked} split at the analysis-vs-simulate boundary for the
-    work-stealing pool. The first stage runs the validation and the
+    class-queued {!Pool}. The first stage runs the validation and the
     memoized analysis; a request with no simulations (or that fails
     early) finishes there as [Done]. A simulation-carrying request
     returns [More] whose thunk runs the shared-tile search and every

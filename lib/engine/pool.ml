@@ -2,8 +2,6 @@ let c_maps = Obs.counter "pool.maps"
 let c_tasks = Obs.counter "pool.tasks"
 let c_domains = Obs.counter "pool.domains_spawned"
 let c_max_tasks = Obs.counter "pool.max_tasks_per_domain"
-let c_steals = Obs.counter "pool.steals"
-let c_steal_fails = Obs.counter "pool.steal_fails"
 let t_wall = Obs.timer "pool.map_wall"
 let t_busy = Obs.timer "pool.worker_busy"
 let t_idle = Obs.timer "pool.worker_idle"
@@ -67,10 +65,9 @@ let run_stage i g = Obs.Trace.with_span ~arg:i "pool.task" (fun () -> Obs.time t
 
 (* A schedulable unit: one stage of one item. [t_at] is when it became
    runnable (queue wait is measured from there), [t_prio] the class its
-   wait is charged to. [t_run] does the work, writes the item's result
-   slot and/or pushes a continuation, and returns how many items it
-   completed (0 when it deferred to a continuation). *)
-type task = { t_at : float; t_prio : priority; t_run : wid:int -> int }
+   wait is charged to. [t_run] does the work and either writes the
+   item's result slot ([None]) or returns the item's next stage. *)
+type task = { t_at : float; t_prio : priority; t_run : unit -> task option }
 
 let map_staged ?jobs ~classify f xs =
   let n = Array.length xs in
@@ -80,15 +77,6 @@ let map_staged ?jobs ~classify f xs =
   Obs.incr ~by:n c_tasks;
   let submitted = now () in
   let results = Array.make n None in
-  let finish i r =
-    results.(i) <- Some r;
-    1
-  in
-  let exec_cont i g =
-    match run_stage i g with
-    | v -> finish i (Ok v)
-    | exception e -> finish i (Error (e, Printexc.get_raw_backtrace ()))
-  in
   if jobs <= 1 || n <= 1 then begin
     Obs.record_max c_max_tasks n;
     Obs.time t_wall (fun () ->
@@ -105,100 +93,78 @@ let map_staged ?jobs ~classify f xs =
         xs)
   end
   else begin
-    let classes = Array.map classify xs in
-    let completed = Atomic.make 0 in
+    (* Two FIFO queues under one lock, the claim policy of the serve
+       loop: all analytic work before any simulation work. *)
+    let lock = Mutex.create () and work = Condition.create () in
+    let analytic = Queue.create () and simulation = Queue.create () in
+    let queue_of = function Analytic -> analytic | Simulation -> simulation in
+    let unfinished = ref n in
     let busy = Array.make jobs 0.0 in
-    let steals = Array.make jobs 0 in
-    let steal_fails = Array.make jobs 0 in
-    (* Per-domain, per-class deques: a worker owns analytic.(w) and
-       simulation.(w); everyone else steals from them. *)
-    let analytic = Array.init jobs (fun _ -> Ws_deque.create ()) in
-    let simulation = Array.init jobs (fun _ -> Ws_deque.create ()) in
-    let push_cont ~wid i g =
-      Ws_deque.push simulation.(wid)
-        {
-          t_at = now ();
-          t_prio = Simulation;
-          t_run = (fun ~wid:_ -> exec_cont i g);
-        }
+    let failed i e = results.(i) <- Some (Error (e, Printexc.get_raw_backtrace ())) in
+    let stage2 i g () =
+      (match run_stage i g with v -> results.(i) <- Some (Ok v) | exception e -> failed i e);
+      None
     in
-    let stage1 i ~wid =
+    let stage1 i () =
       match run_stage i (fun () -> f xs.(i)) with
-      | Done v -> finish i (Ok v)
+      | Done v ->
+        results.(i) <- Some (Ok v);
+        None
       | More g ->
-        (* The heavy tail of this item goes to the back of the line on
-           the worker's own simulation deque; the worker is free to run
-           (or lose to a thief) other analytic work first. *)
-        push_cont ~wid i g;
-        0
-      | exception e -> finish i (Error (e, Printexc.get_raw_backtrace ()))
+        (* The heavy tail of this item goes to the back of the simulation
+           queue, behind any analytic work still waiting. *)
+        Some { t_at = now (); t_prio = Simulation; t_run = stage2 i g }
+      | exception e ->
+        failed i e;
+        None
     in
-    let steal_from w row =
-      let found = ref None in
-      let v = ref 1 in
-      while !found = None && !v < jobs do
-        (match Ws_deque.steal row.((w + !v) mod jobs) with
-        | Ws_deque.Stolen t ->
-          steals.(w) <- steals.(w) + 1;
-          found := Some t
-        | Ws_deque.Empty -> ()
-        | Ws_deque.Retry -> steal_fails.(w) <- steal_fails.(w) + 1);
-        incr v
-      done;
-      !found
-    in
-    (* Claim order is the priority gate: all analytic work in the pool —
-       own or stolen — before any simulation work. *)
-    let find_task w =
-      match Ws_deque.pop analytic.(w) with
-      | Some t -> Some t
+    Array.iteri
+      (fun i x ->
+        let prio = classify x in
+        Queue.push { t_at = submitted; t_prio = prio; t_run = stage1 i } (queue_of prio))
+      xs;
+    (* Under [lock]: the next task, or [None] once every item is done. *)
+    let rec claim () =
+      match Queue.take_opt analytic with
+      | Some _ as t -> t
       | None -> (
-        match steal_from w analytic with
-        | Some t -> Some t
-        | None -> (
-          match Ws_deque.pop simulation.(w) with
-          | Some t -> Some t
-          | None -> steal_from w simulation))
+        match Queue.take_opt simulation with
+        | Some _ as t -> t
+        | None when !unfinished = 0 -> None
+        | None ->
+          Condition.wait work lock;
+          claim ())
     in
     let worker w =
       if w > 0 && Obs.Trace.is_enabled () then
         Obs.Trace.set_lane_name
           (Printf.sprintf "worker-%d" (Atomic.fetch_and_add lane_seq 1));
       let mine = ref 0 in
-      let spins = ref 0 in
-      while Atomic.get completed < n do
-        match find_task w with
+      let rec loop () =
+        match Mutex.protect lock claim with
+        | None -> ()
         | Some task ->
-          spins := 0;
           incr mine;
           record_wait task.t_prio (now () -. task.t_at);
           Obs.add_gauge g_idle (-1);
           let t0 = now () in
-          let done_count = task.t_run ~wid:w in
+          let next = task.t_run () in
           busy.(w) <- busy.(w) +. (now () -. t0);
           Obs.add_gauge g_idle 1;
-          if done_count > 0 then ignore (Atomic.fetch_and_add completed done_count)
-        | None ->
-          (* Nothing runnable anywhere right now (another worker is
-             still producing, or we lost every steal race). Spin briefly,
-             then sleep: on few-core hosts a hot spin here would steal
-             the timeslice from the very domain we are waiting on. *)
-          incr spins;
-          if !spins < 32 then Domain.cpu_relax () else Unix.sleepf 50e-6
-      done;
+          Mutex.protect lock (fun () ->
+            match next with
+            | Some t ->
+              Queue.push t simulation;
+              Condition.signal work
+            | None ->
+              decr unfinished;
+              if !unfinished = 0 then Condition.broadcast work);
+          loop ()
+      in
+      loop ();
       Obs.add_seconds t_busy busy.(w);
-      Obs.record_max c_max_tasks !mine;
-      if steals.(w) > 0 then Obs.incr ~by:steals.(w) c_steals;
-      if steal_fails.(w) > 0 then Obs.incr ~by:steal_fails.(w) c_steal_fails
+      Obs.record_max c_max_tasks !mine
     in
-    (* Round-robin initial distribution, pushed before any worker
-       exists (single-threaded, so the owner-only push contract holds;
-       Domain.spawn publishes the contents). *)
-    Array.iteri
-      (fun i prio ->
-        let row = match prio with Analytic -> analytic | Simulation -> simulation in
-        Ws_deque.push row.(i mod jobs) { t_at = submitted; t_prio = prio; t_run = stage1 i })
-      classes;
     let t0 = now () in
     Obs.incr ~by:(jobs - 1) c_domains;
     Obs.set_gauge g_idle jobs;

@@ -1,5 +1,5 @@
-(** Deterministic parallel map over OCaml 5 domains, scheduled by
-    per-domain work-stealing deques.
+(** Deterministic parallel map over OCaml 5 domains, scheduled from two
+    class queues under one lock.
 
     Independent sweep points (per-(M, schedule, policy) simulations,
     per-kernel LP solves) are embarrassingly parallel; this module fans
@@ -8,30 +8,28 @@
     comes from element [i] of the input, so parallel and sequential runs
     produce byte-identical reports.
 
-    {b Scheduling.} Each worker owns two Chase–Lev deques
-    ({!Ws_deque}), one per {!priority} class. Items are dealt
-    round-robin at submit; a worker pops its own work LIFO and steals
-    FIFO from the others when idle. The claim order is the priority
-    gate: {e all} [Analytic] work in the pool — own or stolen — is
-    taken before {e any} [Simulation] work, so a sub-millisecond
-    analytic request is never stuck behind a multi-second simulation.
-    {!map_staged} sharpens this further: an item's cheap first stage
-    runs at its submitted class, and the [More] continuation it returns
-    (the heavy tail) re-queues on the executing worker's simulation
-    deque instead of blocking the lane.
+    {b Scheduling.} Items wait in two FIFO queues, one per {!priority}
+    class, under one mutex; idle workers wait on a condition variable.
+    A worker claims the oldest [Analytic] item, else the oldest
+    [Simulation] item — the claim policy of the serve loop — so a
+    sub-millisecond analytic request is never stuck behind a
+    multi-second simulation. {!map_staged} sharpens this further: an
+    item's cheap first stage runs at its submitted class, and the
+    [More] continuation it returns (the heavy tail) re-queues at the
+    back of the [Simulation] queue instead of blocking the lane.
 
     The pool size defaults to {!Domain.recommended_domain_count} and can
     be overridden with the [PROJTILE_JOBS] environment variable (or the
     [?jobs] argument, which wins). [jobs <= 1] degrades to a plain
-    sequential map with no domains spawned.
+    sequential map with no domains spawned. Each parallel call spawns
+    its [jobs - 1] workers and joins them before returning.
 
     Observability: besides the busy/idle/wall timers, every task stage
     records its submit-to-start latency in ["pool.queue_wait"] {e and}
     in its class's ["pool.queue_wait.analytic"] /
     ["pool.queue_wait.simulation"] timer (the per-class histograms are
-    the stage split's acceptance metric), its runtime in ["pool.task"],
-    and steal outcomes in ["pool.steals"] / ["pool.steal_fails"]
-    (failed = lost the CAS race). ["pool.domains_spawned"] counts
+    the stage split's acceptance metric) and its runtime in
+    ["pool.task"]. ["pool.domains_spawned"] counts
     spawned workers, ["pool.idle_domains"] gauges the instantaneous
     idle width, and with {!Obs.Trace} enabled each stage execution is a
     ["pool.task"] span tagged with the item index on the executing
@@ -48,7 +46,7 @@ type 'b staged =
   | Done of 'b  (** the item finished in its first stage *)
   | More of (unit -> 'b)
       (** cheap stage finished; the thunk is the heavy tail, re-queued
-          at [Simulation] class on the executing worker's own deque *)
+          at the back of the [Simulation] queue *)
 
 val default_jobs : unit -> int
 (** [PROJTILE_JOBS] if set to a positive integer, otherwise

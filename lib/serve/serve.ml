@@ -4,6 +4,9 @@ type event = Line of string | Oversized | Wait | Eof
    buffering it, skips to its newline and reports it as [Oversized]. *)
 let max_line_bytes = 1 lsl 20
 
+(* The longest a poller waits for input before it checks [stop] again. *)
+let poll_s = 0.25
+
 type config = {
   jobs : int;
   queue_capacity : int;
@@ -29,7 +32,6 @@ let c_overloaded = Obs.counter "serve.rejected_overloaded"
 let c_connections = Obs.counter "serve.connections"
 let c_batch_max = Obs.counter "serve.batch_size_max"
 let c_queue_max = Obs.counter "serve.queue_depth_max"
-let t_batch = Obs.timer "serve.batch"
 let t_request = Obs.timer "serve.request"
 
 (* Per-class service latency: the split the scheduler exists for.
@@ -38,10 +40,9 @@ let t_request = Obs.timer "serve.request"
 let t_request_analytic = Obs.timer "serve.request.analytic"
 let t_request_simulation = Obs.timer "serve.request.simulation"
 
-(* Live levels for the dashboard: the queue depth with its per-class
-   split (in the daemon, requests waiting for a domain; over the pipe,
-   the lines of the batch cycle being worked), how many requests are
-   executing right now, and how many client connections are open. *)
+(* Live levels for the dashboard: the queue depth (requests waiting for
+   a domain) with its per-class split, how many requests are executing
+   right now, and how many client connections are open. *)
 let g_queue = Obs.gauge "serve.queue_depth"
 let g_queue_analytic = Obs.gauge "serve.queue_depth.analytic"
 let g_queue_simulation = Obs.gauge "serve.queue_depth.simulation"
@@ -87,7 +88,6 @@ type item = {
   it_warnings : Serve_protocol.warning list;
   it_work : (Request.t * float option, Engine_error.t) result;
       (** decoded request plus its absolute deadline, or the decode error *)
-  it_emit : string -> unit;  (** the connection the response goes back to *)
 }
 
 let classify_request (req : Request.t) =
@@ -96,13 +96,13 @@ let classify_request (req : Request.t) =
   | Request.Analyze { sims; _ } | Request.Sweep { sims; _ } ->
     if sims = [] then Pool.Analytic else Pool.Simulation
 
-let error_item session ~emit ~id ~v err =
+let error_item session ~id ~v err =
   { it_id = ensure_id session id; it_v = v; it_class = Pool.Analytic;
-    it_warnings = []; it_work = Error err; it_emit = emit }
+    it_warnings = []; it_work = Error err }
 
-let decode_line cfg session ~admitted_at ~emit line =
+let decode_line cfg session ~admitted_at line =
   match Request.decode line with
-  | Error { Request.err_id; err_v; err } -> error_item session ~emit ~id:err_id ~v:err_v err
+  | Error { Request.err_id; err_v; err } -> error_item session ~id:err_id ~v:err_v err
   | Ok req ->
     let budget =
       match req.Request.deadline_s with
@@ -115,60 +115,18 @@ let decode_line cfg session ~admitted_at ~emit line =
       it_class = classify_request req;
       it_warnings = req.Request.warnings;
       it_work = Ok (req, Option.map (fun b -> admitted_at +. b) budget);
-      it_emit = emit;
     }
-
-(* Per-class admission over the pipe: each class has [queue_capacity]
-   seats per batch cycle, so a flood of simulation requests can exhaust
-   its own queue without costing analytic requests theirs (and vice
-   versa). The daemon applies the same cap to each class's live queue. *)
-type admission = {
-  mutable adm_analytic : int;
-  mutable adm_simulation : int;
-  mutable adm_rejected : int;
-  mutable adm_admitted_rev : item list;
-  mutable adm_rejected_rev : (string * int * (string -> unit)) list;
-}
-
-let new_admission () =
-  {
-    adm_analytic = 0;
-    adm_simulation = 0;
-    adm_rejected = 0;
-    adm_admitted_rev = [];
-    adm_rejected_rev = [];
-  }
-
-let admit cfg adm item =
-  let seats =
-    match item.it_class with
-    | Pool.Analytic -> adm.adm_analytic
-    | Pool.Simulation -> adm.adm_simulation
-  in
-  if seats < cfg.queue_capacity then begin
-    (match item.it_class with
-    | Pool.Analytic -> adm.adm_analytic <- adm.adm_analytic + 1
-    | Pool.Simulation -> adm.adm_simulation <- adm.adm_simulation + 1);
-    adm.adm_admitted_rev <- item :: adm.adm_admitted_rev
-  end
-  else begin
-    adm.adm_rejected <- adm.adm_rejected + 1;
-    adm.adm_rejected_rev <- (item.it_id, item.it_v, item.it_emit) :: adm.adm_rejected_rev
-  end
 
 (* A line the transport discarded unread is answered like a request that
    failed to decode. *)
-let item_of_event cfg session ~admitted_at ~emit = function
-  | Line l -> Some (decode_line cfg session ~admitted_at ~emit l)
+let item_of_event cfg session ~admitted_at = function
+  | Line l -> Some (decode_line cfg session ~admitted_at l)
   | Oversized ->
     Some
-      (error_item session ~emit ~id:None ~v:1
+      (error_item session ~id:None ~v:1
          (Engine_error.Invalid_request
             (Printf.sprintf "request line longer than %d bytes" max_line_bytes)))
   | Wait | Eof -> None
-
-let admit_event cfg adm session ~admitted_at ~emit ev =
-  Option.iter (admit cfg adm) (item_of_event cfg session ~admitted_at ~emit ev)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)
@@ -205,14 +163,9 @@ let log_request cfg item res l =
       :: List.map (fun (stage, d) -> (stage ^ "_ms", `F (1e3 *. d))) l.l_stages)
   | _ -> ()
 
-(* One admitted request as a staged pool task: the analytic half runs at
-   the item's class, and a simulation-carrying request returns [More] so
-   its heavy tail re-queues at Simulation class (Pipeline.run_staged);
-   the daemon runs the tail at once, on the same domain.
-   The serve-level latency clock spans admission-to-finish across both
-   stages and stops here, at completion; the ambient correlation id is
-   re-established inside the continuation because it is domain-local and
-   the tail may run on a different worker. *)
+(* Run one admitted request to completion on the calling domain. The
+   serve-level latency clock runs from the start of execution to the
+   finish; the request's id is the ambient correlation id throughout. *)
 let run_one item =
   Obs.add_gauge g_inflight 1;
   let t0 = Unix.gettimeofday () in
@@ -229,59 +182,45 @@ let run_one item =
   in
   Obs.Log.with_corr item.it_id @@ fun () ->
   match item.it_work with
-  | Error err -> Pool.Done (finish ~op:"invalid" (Error err) [])
+  | Error err -> finish ~op:"invalid" (Error err) []
   | Ok (req, deadline) -> (
     let spec = req.Request.spec in
     match req.Request.body with
     | Request.Compile ->
-      Pool.Done
-        (finish ~op:"compile"
-           (Result.map (fun plan -> `Plan (Tiling_plan.to_json plan)) (Pipeline.plan_of spec))
-           [])
+      finish ~op:"compile"
+        (Result.map (fun plan -> `Plan (Tiling_plan.to_json plan)) (Pipeline.plan_of spec))
+        []
     | Request.Partition { procs; m_local; net } ->
-      Pool.Done
-        (finish ~op:"partition"
-           (Result.map
-              (fun sol -> `Partition (Partition_solve.to_json sol))
-              (Pipeline.partition_checked ?deadline spec ~p:procs ~m_local ~net))
-           [])
+      finish ~op:"partition"
+        (Result.map
+           (fun sol -> `Partition (Partition_solve.to_json sol))
+           (Pipeline.partition_checked ?deadline spec ~p:procs ~m_local ~net))
+        []
     | Request.Sweep { ms; sims; shared; timings } ->
-      (* One pool task for the whole sweep: the points share the memo
-         caches, each report renders exactly as the one-shot CLI's, and
-         the first failing size fails the request. *)
-      Pool.Done
-        (finish ~op:"sweep"
-           (List.fold_left
-              (fun acc m ->
-                match acc with
-                | Error _ as e -> e
-                | Ok rendered -> (
-                  match
-                    Pipeline.run_checked ?deadline
-                      (Pipeline.request ~sims ~shared spec ~m)
-                  with
-                  | Error e -> Error e
-                  | Ok rep -> Ok (Report.to_json ~timings rep :: rendered)))
-              (Ok []) ms
-           |> Result.map (fun rendered -> `Reports (List.rev rendered)))
-           [])
-    | Request.Analyze { m; sims; shared; timings } -> (
-      let preq = Pipeline.request ~sims ~shared spec ~m in
-      let render checked =
-        let stage_times =
-          match checked with Ok rep -> rep.Report.timings | Error _ -> []
-        in
-        finish ~op:"analyze"
-          (Result.map (fun rep -> `Report (Report.to_json ~timings rep)) checked)
-          stage_times
-      in
-      match Pipeline.run_staged ?deadline preq with
-      | Pool.Done checked -> Pool.Done (render checked)
-      | Pool.More f ->
-        Pool.More (fun () -> Obs.Log.with_corr item.it_id (fun () -> render (f ())))))
+      (* The points share the memo caches, each report renders exactly
+         as the one-shot CLI's, and the first failing size fails the
+         request. *)
+      finish ~op:"sweep"
+        (List.fold_left
+           (fun acc m ->
+             match acc with
+             | Error _ as e -> e
+             | Ok rendered -> (
+               match Pipeline.run_checked ?deadline (Pipeline.request ~sims ~shared spec ~m) with
+               | Error e -> Error e
+               | Ok rep -> Ok (Report.to_json ~timings rep :: rendered)))
+           (Ok []) ms
+        |> Result.map (fun rendered -> `Reports (List.rev rendered)))
+        []
+    | Request.Analyze { m; sims; shared; timings } ->
+      let checked = Pipeline.run_checked ?deadline (Pipeline.request ~sims ~shared spec ~m) in
+      let stage_times = match checked with Ok rep -> rep.Report.timings | Error _ -> [] in
+      finish ~op:"analyze"
+        (Result.map (fun rep -> `Report (Report.to_json ~timings rep)) checked)
+        stage_times)
 
-(* Render a finished request, log it and write it to its connection. *)
-let send_response cfg (item, res, log) =
+(* Render a finished request, log it and write it with [emit]. *)
+let send_response cfg ~emit (item, res, log) =
   log_request cfg item res log;
   let id = Some item.it_id in
   let v = item.it_v and warnings = item.it_warnings in
@@ -298,83 +237,15 @@ let send_response cfg (item, res, log) =
       Serve_protocol.error_response ~v ~id err
   in
   Obs.incr c_responses;
-  item.it_emit line
+  emit line
 
-let send_rejection cfg (id, v, emit) =
+let send_rejection cfg ~emit item =
   let err = Engine_error.Overloaded { capacity = cfg.queue_capacity } in
   count_error err;
   Obs.incr c_responses;
-  Obs.Log.warn "serve.overloaded" [ ("id", `S id); ("capacity", `I cfg.queue_capacity) ];
-  emit (Serve_protocol.error_response ~v ~id:(Some id) err)
-
-(* One batch: run every admitted item through the staged pool, then emit
-   one response per line in arrival order — admitted first, overload
-   rejections after. Each response goes back to the connection it came
-   from; with a single session the two are the same stream. *)
-let process cfg admitted rejected =
-  Obs.incr c_batches;
-  let n_admitted = List.length admitted and n_rejected = List.length rejected in
-  let depth = n_admitted + n_rejected in
-  Obs.incr ~by:depth c_requests;
-  Obs.record_max c_batch_max n_admitted;
-  Obs.record_max c_queue_max depth;
-  Obs.set_gauge g_queue depth;
-  let n_analytic =
-    List.fold_left
-      (fun n i -> if i.it_class = Pool.Analytic then n + 1 else n)
-      0 admitted
-  in
-  Obs.set_gauge g_queue_analytic n_analytic;
-  Obs.set_gauge g_queue_simulation (n_admitted - n_analytic);
-  Obs.Trace.with_span "serve.batch" @@ fun () ->
-  let batch_t0 = Unix.gettimeofday () in
-  Obs.time t_batch @@ fun () ->
-  let outcomes =
-    Pool.map_staged_list ~jobs:cfg.jobs ~classify:(fun i -> i.it_class) run_one admitted
-  in
-  List.iter (send_response cfg) outcomes;
-  List.iter (send_rejection cfg) rejected;
-  Obs.set_gauge g_queue 0;
-  Obs.set_gauge g_queue_analytic 0;
-  Obs.set_gauge g_queue_simulation 0;
-  Obs.Log.debug "serve.batch"
-    [
-      ("admitted", `I n_admitted);
-      ("rejected", `I n_rejected);
-      ("ms", `F (1e3 *. (Unix.gettimeofday () -. batch_t0)));
-    ]
-
-let serve ?(stop = fun () -> false) cfg ~next ~emit =
-  let session = new_session () in
-  let rec loop () =
-    if stop () then ()
-    else
-      match next ~block:true with
-      | Eof -> ()
-      | Wait -> loop () (* interrupted: re-check [stop] and retry *)
-      | (Line _ | Oversized) as first ->
-        (* Drain what is already waiting into this cycle's batch. Reads
-           per cycle are bounded (capacity admitted per class + capacity
-           rejected); anything beyond stays in the transport's buffer. *)
-        let admitted_at = Unix.gettimeofday () in
-        let adm = new_admission () in
-        admit_event cfg adm session ~admitted_at ~emit first;
-        let saw_eof = ref false in
-        let draining = ref true in
-        while !draining do
-          if adm.adm_rejected >= cfg.queue_capacity then draining := false
-          else
-            match next ~block:false with
-            | Wait -> draining := false
-            | Eof ->
-              saw_eof := true;
-              draining := false
-            | (Line _ | Oversized) as ev -> admit_event cfg adm session ~admitted_at ~emit ev
-        done;
-        process cfg (List.rev adm.adm_admitted_rev) (List.rev adm.adm_rejected_rev);
-        if !saw_eof then () else loop ()
-  in
-  loop ()
+  Obs.Log.warn "serve.overloaded"
+    [ ("id", `S item.it_id); ("capacity", `I cfg.queue_capacity) ];
+  emit (Serve_protocol.error_response ~v:item.it_v ~id:(Some item.it_id) err)
 
 (* ------------------------------------------------------------------ *)
 (* Transports                                                         *)
@@ -410,12 +281,13 @@ let reader_of_fd fd =
     done;
     add_segment !start n
   in
-  (* `Progress: bytes consumed (or EOF reached); `Would_block; `Interrupted *)
+  (* `Progress: bytes consumed (or EOF reached); `Would_block; `Interrupted.
+     A blocking read waits in [select] for at most [poll_s]: the signal
+     that sets a stop flag may land on another domain's thread and leave
+     this one's read uninterrupted. *)
   let try_read ~block =
     let ready =
-      block
-      ||
-      match Unix.select [ fd ] [] [] 0.0 with
+      match Unix.select [ fd ] [] [] (if block then poll_s else 0.0) with
       | [], _, _ -> false
       | _ -> true
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
@@ -459,12 +331,8 @@ let write_line fd s =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let run_pipe ?stop cfg =
-  try serve ?stop cfg ~next:(reader_of_fd Unix.stdin) ~emit:(write_line Unix.stdout)
-  with Unix.Unix_error (Unix.EPIPE, _, _) -> ()
-
 (* ------------------------------------------------------------------ *)
-(* The multi-client daemon                                            *)
+(* The dispatch loop                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* One response slot per line read from a connection, queued in arrival
@@ -474,22 +342,38 @@ let run_pipe ?stop cfg =
 type slot = { mutable s_out : (unit -> unit) option }
 
 type conn = {
-  c_fd : Unix.file_descr;
   c_next : block:bool -> event;  (** read by the poller only *)
+  c_write : string -> unit;
+      (** writes one response line; raises [Unix_error] once the peer is gone *)
+  c_fd : Unix.file_descr option;
+      (** an accepted socket: selected on, shut down after its last answer
+          and closed with the connection; [None] for the pipe *)
   c_session : session;
   c_num : int;
-  c_lock : Mutex.t;  (** guards [c_slots], [c_eof], [c_dead] and writes to [c_fd] *)
+  c_lock : Mutex.t;  (** guards [c_slots], [c_eof], [c_dead] and [c_write] *)
   c_slots : slot Queue.t;  (** lines read and not yet answered, oldest first *)
   mutable c_eof : bool;  (** client finished sending; close after replying *)
   mutable c_dead : bool;  (** write failed; stop emitting, close *)
 }
 
+let new_conn ?fd ~num ~next ~write () =
+  {
+    c_next = next;
+    c_write = write;
+    c_fd = fd;
+    c_session = new_session ();
+    c_num = num;
+    c_lock = Mutex.create ();
+    c_slots = Queue.create ();
+    c_eof = false;
+    c_dead = false;
+  }
+
 let conn_emit c line =
-  if not c.c_dead then
-    try write_line c.c_fd line with Unix.Unix_error _ -> c.c_dead <- true
+  if not c.c_dead then try c.c_write line with Unix.Unix_error _ -> c.c_dead <- true
 
 (* Fill [slot] and write every answered line at the head of [c]'s queue.
-   Once the client has sent EOF and its last line is answered, the
+   Once a socket client has sent EOF and its last line is answered, the
    sending side is shut down, so the client sees EOF now rather than when
    the poller next closes the descriptor. *)
 let answer c slot out =
@@ -504,8 +388,10 @@ let answer c slot out =
     | _ -> ()
   in
   flush ();
-  if c.c_eof && Queue.is_empty c.c_slots then
-    try Unix.shutdown c.c_fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ()
+  match c.c_fd with
+  | Some fd when c.c_eof && Queue.is_empty c.c_slots -> (
+    try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
+  | _ -> ()
 
 type listener = { l_fd : Unix.file_descr; l_transport : string }
 
@@ -539,12 +425,15 @@ type job = { j_conn : conn; j_slot : slot; j_item : item }
    takes the single poller role, reads at most one line per connection,
    admits what it read, gives the role up and claims work itself. The
    domain that finishes a request writes its response. With [jobs = 1]
-   this is read a line, run it, answer it, on one domain. *)
-let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
+   this is read a line, run it, answer it, on one domain. [conns] are
+   the connections open at the start (the pipe's); [listeners] accept
+   more. The loop returns once no listener and no live connection
+   remains, or [stop] reads true, and everything read is answered. *)
+let dispatch_loop ?(stop = fun () -> false) cfg ~listeners conns =
   let lock = Mutex.create () and work = Condition.create () in
   let analytic = Queue.create () and simulation = Queue.create () in
   let polling = ref false (* a domain holds the poller role *) in
-  let draining = ref false (* stop seen: read nothing more *) in
+  let draining = ref false (* stop seen or nothing left to read *) in
   let failure = Atomic.make None in
   let queue_of = function Pool.Analytic -> analytic | Pool.Simulation -> simulation in
   (* Under [lock]: the live waiting counts. *)
@@ -556,7 +445,7 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
   in
   (* The connection list, the readers and [rotation] are touched by the
      poller only; the role passes between domains under [lock]. *)
-  let conns = ref [] in
+  let conns = ref conns in
   let conn_seq = ref 0 in
   let accept_on l =
     match Unix.accept l.l_fd with
@@ -567,37 +456,28 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
       Obs.Log.info "serve.connection"
         [ ("conn", `I !conn_seq); ("transport", `S l.l_transport) ];
       conns :=
-        !conns
-        @ [
-            {
-              c_fd = fd;
-              c_next = reader_of_fd fd;
-              c_session = new_session ();
-              c_num = !conn_seq;
-              c_lock = Mutex.create ();
-              c_slots = Queue.create ();
-              c_eof = false;
-              c_dead = false;
-            };
-          ]
+        !conns @ [ new_conn ~fd ~num:!conn_seq ~next:(reader_of_fd fd) ~write:(write_line fd) () ]
     | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
       -> ()
   in
   let close_conn c =
-    (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-    Obs.add_gauge g_open (-1);
-    Obs.Log.info "serve.disconnect" [ ("conn", `I c.c_num) ]
+    Option.iter
+      (fun fd ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Obs.add_gauge g_open (-1);
+        Obs.Log.info "serve.disconnect" [ ("conn", `I c.c_num) ])
+      c.c_fd
   in
+  let live c = not (c.c_eof || c.c_dead) in
   (* A finished or vanished client is closed once every line read from
      it has been answered. *)
   let cleanup () =
     let finished c =
-      Mutex.protect c.c_lock (fun () ->
-        (c.c_eof || c.c_dead) && Queue.is_empty c.c_slots)
+      Mutex.protect c.c_lock (fun () -> (not (live c)) && Queue.is_empty c.c_slots)
     in
-    let gone, live = List.partition finished !conns in
+    let gone, kept = List.partition finished !conns in
     List.iter close_conn gone;
-    conns := live
+    conns := kept
   in
   (* Fair reading across connections: at most one line per live
      connection per round, starting at a rotating offset, so a chatty
@@ -605,7 +485,7 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
      own reader buffer for a later round. Returns what was read, in
      order; each line already holds its slot. *)
   let rotation = ref 0 in
-  let read_round () =
+  let read_round ~block =
     let admitted_at = Unix.gettimeofday () in
     let active = Array.of_list !conns in
     let n = Array.length active in
@@ -615,9 +495,9 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
       incr rotation;
       for k = 0 to n - 1 do
         let c = active.((start + k) mod n) in
-        if not (c.c_eof || c.c_dead) then
-          let ev = try c.c_next ~block:false with Unix.Unix_error _ -> Eof in
-          match item_of_event cfg c.c_session ~admitted_at ~emit:(conn_emit c) ev with
+        if live c then
+          let ev = try c.c_next ~block with Unix.Unix_error _ -> Eof in
+          match item_of_event cfg c.c_session ~admitted_at ev with
           | Some item ->
             let slot = { s_out = None } in
             Mutex.protect c.c_lock (fun () -> Queue.push slot c.c_slots);
@@ -630,26 +510,31 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
     end;
     List.rev !read
   in
-  (* One turn of the poller role. Buffered lines first: bytes already
-     pulled into a reader can no longer trip select. A client whose EOF
-     that round read is closed before the wait. *)
+  (* One turn of the poller role. With no listener there is nothing to
+     select on: the turn blocks in the reader of the one connection (the
+     pipe), and [None] once it is finished. With listeners, buffered lines
+     come first: bytes already pulled into a reader can no longer trip
+     select. A client whose EOF that round read is closed before the
+     wait. *)
   let poll () =
     cleanup ();
     if stop () then None
+    else if listeners = [] then
+      if List.exists live !conns then Some (read_round ~block:true) else None
     else
-      match read_round () with
+      match read_round ~block:false with
       | _ :: _ as read -> Some read
       | [] ->
         cleanup ();
         let fds =
           List.map (fun l -> l.l_fd) listeners
-          @ List.filter_map (fun c -> if c.c_eof || c.c_dead then None else Some c.c_fd) !conns
+          @ List.filter_map (fun c -> if live c then c.c_fd else None) !conns
         in
-        (match Unix.select fds [] [] 0.25 with
+        (match Unix.select fds [] [] poll_s with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | ready, _, _ ->
           List.iter (fun l -> if List.memq l.l_fd ready then accept_on l) listeners);
-        if stop () then None else Some (read_round ())
+        if stop () then None else Some (read_round ~block:false)
   in
   (* Under [lock]: queue what the poller read, per-class cap first. *)
   let admit read =
@@ -687,12 +572,8 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
       claim ()
   in
   let execute j =
-    let item = j.j_item in
-    let outcome =
-      Obs.Trace.with_span "serve.request" @@ fun () ->
-      match run_one item with Pool.Done r -> r | Pool.More tail -> tail ()
-    in
-    answer j.j_conn j.j_slot (fun () -> send_response cfg outcome)
+    let outcome = Obs.Trace.with_span "serve.request" (fun () -> run_one j.j_item) in
+    answer j.j_conn j.j_slot (fun () -> send_response cfg ~emit:(conn_emit j.j_conn) outcome)
   in
   let rec next () = dispatch (Mutex.protect lock claim)
   and dispatch = function
@@ -720,13 +601,12 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
       in
       List.iter
         (fun j ->
-          let i = j.j_item in
           answer j.j_conn j.j_slot (fun () ->
-            send_rejection cfg (i.it_id, i.it_v, i.it_emit)))
+            send_rejection cfg ~emit:(conn_emit j.j_conn) j.j_item))
         rejected;
       dispatch next
   in
-  (* A domain that dies takes the daemon down with it: the others drain
+  (* A domain that dies takes the loop down with it: the others drain
      what is queued and stop, and the first exception is re-raised. *)
   let guarded () =
     try next ()
@@ -756,6 +636,12 @@ let daemon_loop ?(stop = fun () -> false) cfg ~listeners () =
         (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
         (Atomic.get failure))
 
+let serve ?stop cfg ~next ~emit =
+  dispatch_loop ?stop cfg ~listeners:[] [ new_conn ~num:0 ~next ~write:emit () ]
+
+let run_pipe ?stop cfg =
+  serve ?stop cfg ~next:(reader_of_fd Unix.stdin) ~emit:(write_line Unix.stdout)
+
 let run_daemon ?stop cfg ?socket_path ?tcp_port () =
   let listeners = ref [] and finalizers = ref [] in
   let add l fin =
@@ -783,4 +669,4 @@ let run_daemon ?stop cfg ?socket_path ?tcp_port () =
     invalid_arg "Serve.run_daemon: need a socket_path or a tcp_port";
   Fun.protect
     ~finally:(fun () -> List.iter (fun f -> f ()) !finalizers)
-    (fun () -> daemon_loop ?stop cfg ~listeners:!listeners ())
+    (fun () -> dispatch_loop ?stop cfg ~listeners:!listeners [])

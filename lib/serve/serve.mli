@@ -5,9 +5,9 @@
     a cold memo cache, but the expensive exact-LP stages depend only on
     the canonical [(spec, beta, m)] point — across requests the shared
     {!Memo} tables amortize them. Over stdin/stdout ({!serve},
-    {!run_pipe}) concurrently-arriving requests batch into one
-    {!Pool}-parallel sweep; the socket daemon ({!run_daemon}) runs each
-    request as it arrives on one of [jobs] persistent domains.
+    {!run_pipe}) and over sockets ({!run_daemon}) one dispatch loop runs
+    each request as it arrives on one of [jobs] persistent domains; the
+    pipe is that loop with a single connection and no listener.
 
     Production semantics:
     - {b Classed admission}: requests are decoded and classified at
@@ -15,27 +15,27 @@
       sub-millisecond class; compile requests too) or [Simulation]
       (carries simulated executions) — and each class has its own
       [queue_capacity] seats, so a flood of simulation work cannot
-      crowd analytic requests out of admission (or vice versa). Over
-      the pipe a class has [queue_capacity] seats per batch cycle; in
-      the daemon, a line read while [queue_capacity] requests of its
-      class are waiting for a domain is over the cap. Lines over the
-      cap are answered with a structured [overloaded] error instead of
-      buffered without bound (anything not yet read stays in the OS
-      buffer — that is the transport's own backpressure). Analytic
-      work is run ahead of simulation work: inside a pipe batch by the
-      {!Pool} scheduler, in the daemon by claim order.
+      crowd analytic requests out of admission (or vice versa). A line
+      read while [queue_capacity] requests of its class are waiting for
+      a domain is over the cap and answered with a structured
+      [overloaded] error instead of buffered without bound (anything
+      not yet read stays in the OS buffer — that is the transport's own
+      backpressure). Over one pipe each line is read by the domain that
+      will run it, so nothing waits and the pipe never answers
+      [overloaded]. Analytic work is run ahead of simulation work by
+      claim order.
     - {b Deadlines}: a request's [deadline_ms] budget starts at
       admission (queue wait counts). Expiry returns a [deadline_exceeded]
       response, checked at pipeline stage boundaries
       ({!Pipeline.run_checked}); a [deadline_ms] of 0 fails before any
       work — the liveness probe.
     - {b Ordering}: one response line per request line, in arrival
-      order (per connection, in the daemon), errors included. A
-      response that finishes before an earlier line's waits for it.
+      order per connection, errors included. A response that finishes
+      before an earlier line's waits for it.
     - {b Drain}: EOF (or a [stop] flag flipped by SIGTERM/SIGINT)
       stops reading, finishes every admitted request, flushes its
-      response, and returns — no request is half-answered. The daemon
-      joins its domains before returning.
+      response, joins the domains and returns — no request is
+      half-answered.
     - {b Isolation}: a malformed or failing request yields an error
       response; the loop keeps serving.
     - {b Plan warm-up}: the first request touching a new kernel shape
@@ -52,10 +52,8 @@
       so each client sees its own [srv-1], [srv-2], ... sequence and a
       connection's transcript is byte-identical to serving it alone.
       The id is also the ambient {!Obs.Log} correlation id while the
-      request runs — re-established around each pool stage, since
-      staged requests may finish on a different worker domain — so
-      [serve.request] / [pipeline.request] log lines join to response
-      lines exactly.
+      request runs, so [serve.request] / [pipeline.request] log lines
+      join to response lines exactly.
 
     Observability ([serve.*], via {!Obs}): counters [serve.requests],
     [serve.responses], [serve.batches], [serve.errors],
@@ -63,27 +61,23 @@
     [serve.rejected_overloaded], [serve.connections] (total accepted),
     high-watermarks
     [serve.batch_size_max] / [serve.queue_depth_max] / [serve.pool_jobs],
-    [serve.domains_spawned] (the daemon's [jobs - 1] domains, counted
-    once at start), gauges [serve.queue_depth] (in the daemon, the
-    requests waiting for a domain right now; over the pipe, the depth
-    of the batch cycle being worked, 0 between batches) with its
-    per-class split [serve.queue_depth.analytic] /
-    [serve.queue_depth.simulation], [serve.inflight] (requests
-    executing right now) and [serve.open_connections] (clients
-    currently connected), and timers (with latency histograms)
-    [serve.request], [serve.batch] (pipe only) and the per-class
+    [serve.domains_spawned] (the loop's [jobs - 1] domains, counted
+    once at start), gauges [serve.queue_depth] (the requests waiting
+    for a domain right now) with its per-class split
+    [serve.queue_depth.analytic] / [serve.queue_depth.simulation],
+    [serve.inflight] (requests executing right now) and
+    [serve.open_connections] (socket clients currently connected), and
+    timers (with latency histograms) [serve.request] and the per-class
     latency histograms [serve.request.analytic] /
-    [serve.request.simulation]. In the daemon a "batch" is one poller
-    turn that read at least one line. Each pipe batch is a
-    [serve.batch] trace span with a [pool.task] child per request
-    stage; each daemon request is a [serve.request] span on the lane of
-    the domain that ran it. Structured log events (when a {!Obs.Log}
-    sink is set): [serve.request] (info, per request: id/op/status/ms,
-    written just before the response line, so log order = response
-    order), [serve.slow_request] (warn, see [slow_s]),
-    [serve.overloaded] (warn, per rejection), [serve.batch] (debug, per
-    pipe cycle), [serve.listen] / [serve.connection] /
-    [serve.disconnect] (info, connection lifecycle). *)
+    [serve.request.simulation]. A "batch" ([serve.batches]) is one
+    poller turn that read at least one line. Each request is a
+    [serve.request] trace span on the lane of the domain that ran it.
+    Structured log events (when a {!Obs.Log} sink is set):
+    [serve.request] (info, per request: id/op/status/ms, written just
+    before the response line, so log order = response order),
+    [serve.slow_request] (warn, see [slow_s]), [serve.overloaded]
+    (warn, per rejection), [serve.listen] / [serve.connection] /
+    [serve.disconnect] (info, socket connection lifecycle). *)
 
 type event =
   | Line of string  (** one complete request line, newline stripped *)
@@ -96,13 +90,14 @@ type event =
 
 type config = {
   jobs : int;
-      (** domains that run requests (the pool width of a pipe batch;
-          the daemon's persistent domains, the caller's included),
-          resolved {e once} at daemon start (never re-read from
+      (** persistent domains that run requests, the caller's included,
+          resolved {e once} at start (never re-read from
           [PROJTILE_JOBS] per request) *)
   queue_capacity : int;
-      (** per request class: max requests admitted per pipe batch
-          cycle, or max requests waiting for a daemon domain *)
+      (** per request class: max requests waiting for a domain. Over
+          one pipe each line is read by the domain that will run it, so
+          the pipe never queues more than one line and never answers
+          [overloaded]. *)
   default_deadline_s : float option;
       (** budget applied when a request carries no [deadline_ms] *)
   slow_s : float option;
@@ -118,25 +113,33 @@ val default_config : unit -> config
 val serve :
   ?stop:(unit -> bool) -> config -> next:(block:bool -> event) ->
   emit:(string -> unit) -> unit
-(** The transport-agnostic loop: pull lines with [next], push response
-    lines (no trailing newline) with [emit]. [next ~block:true] may
-    return [Wait] only when interrupted (the loop re-checks [stop] and
-    retries); [next ~block:false] returns [Wait] when reading would
-    block, which closes the current batch. Returns on [Eof] or when
-    [stop] reads true between cycles. *)
+(** The transport-agnostic entry: the dispatch loop of {!run_daemon}
+    with no listener and one connection, which pulls lines with [next]
+    and pushes response lines (no trailing newline) with [emit]. Only
+    the domain holding the poller role calls [next], always with
+    [~block:true]; it may return [Wait] when interrupted or after
+    waiting a while (the loop re-checks [stop] and calls again). [emit]
+    is called under the connection's lock, one response at a time, in
+    arrival order; an [emit] raising [Unix.Unix_error] marks the
+    connection dead, and later responses are dropped. Returns once the
+    connection is finished ([Eof] read or dead) or [stop] reads true,
+    with every line read answered and the domains joined. *)
 
 (** {1 Transports} *)
 
 val reader_of_fd : Unix.file_descr -> block:bool -> event
-(** Buffered line reader over a file descriptor. Non-blocking probes use
-    [select]; [EINTR] surfaces as [Wait] so signal flags get checked.
+(** Buffered line reader over a file descriptor. Reads wait in [select]:
+    a non-blocking probe not at all, a blocking read at most 0.25 s, and
+    both yield [Wait] when nothing arrived or [EINTR] cut the wait, so
+    signal flags get checked.
     A line is buffered up to 1 MiB (1,048,576 bytes, newline excluded);
     past that the reader yields [Oversized] once and drops the rest of
     the line up to its newline, so later lines are still served. *)
 
 val run_pipe : ?stop:(unit -> bool) -> config -> unit
-(** Serve stdin -> stdout until EOF. Responses are written and flushed
-    line-by-line. A broken stdout ([EPIPE]) drains and returns. *)
+(** {!serve} over stdin -> stdout until EOF. Responses are written
+    line-by-line, unbuffered. A broken stdout ([EPIPE]; callers should
+    ignore [SIGPIPE]) drains and returns. *)
 
 val run_daemon :
   ?stop:(unit -> bool) ->

@@ -369,6 +369,15 @@ let test_serve_plans () =
     ~exit:8 ~code:"invalid_request";
   Sys.remove bad
 
+(* The value of counter [name] in an [Obs.pp] dump split into lines. *)
+let counter_value name lines =
+  List.find_map
+    (fun l ->
+      match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+      | [ n; v ] when n = name -> int_of_string_opt (String.concat "" (String.split_on_char ',' v))
+      | _ -> None)
+    lines
+
 let test_serve_metrics () =
   (* serve --metrics prints the serve.* section to stderr after drain *)
   let cmd = Printf.sprintf "echo '%s' | %s serve --metrics 2>&1 >/dev/null"
@@ -383,11 +392,16 @@ let test_serve_metrics () =
    with End_of_file -> ());
   ignore (Unix.close_process_in ic);
   let err = Buffer.contents buf in
+  let lines = String.split_on_char '\n' err in
   List.iter
-    (fun f ->
-      if not (Astring.String.is_infix ~affix:f err) then
-        Alcotest.failf "serve --metrics stderr missing %S\n%s" f err)
-    [ "serve.requests"; "serve.responses"; "serve.batch"; "serve.pool_jobs"; "serve: pool:" ]
+    (fun name ->
+      if counter_value name lines <> Some 1 then
+        Alcotest.failf "serve --metrics stderr: %s is not 1\n%s" name err)
+    [ "serve.requests"; "serve.responses"; "serve.batches" ];
+  if counter_value "serve.pool_jobs" lines = None then
+    Alcotest.failf "serve --metrics stderr missing serve.pool_jobs\n%s" err;
+  if not (Astring.String.is_infix ~affix:"serve: pool:" err) then
+    Alcotest.failf "serve --metrics stderr missing the pool line\n%s" err
 
 let test_serve_telemetry_and_top () =
   (* end-to-end: serve writes a telemetry trail and a request log; the
@@ -635,20 +649,73 @@ let read_response ?(timeout = 20.0) fd =
 
 let readable fd = match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> false | _ -> true
 
+(* Wait up to [timeout] seconds for [pid] to exit 0; one still running
+   then is killed and fails the test. *)
+let exits_cleanly ?(timeout = 20.0) pid what =
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () -. t0 > timeout ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Alcotest.failf "%s: still running after %.0f s" what timeout
+    | 0, _ ->
+      Unix.sleepf 0.02;
+      go ()
+    | _, Unix.WEXITED 0 -> ()
+    | _, Unix.WEXITED c -> Alcotest.failf "%s: exit %d" what c
+    | _ -> Alcotest.failf "%s: killed by a signal" what
+  in
+  go ()
+
+let test_serve_broken_stdout () =
+  (* `serve < many-lines | head -n 1`: the reader of stdout goes away
+     after one line, far more output is pending than a pipe holds, and
+     serve must see its one connection dead and return *)
+  let input = Filename.temp_file "cli_many" ".ndjson" in
+  Fun.protect ~finally:(fun () -> Sys.remove input) @@ fun () ->
+  Out_channel.with_open_bin input (fun oc ->
+    for i = 1 to 1000 do
+      Printf.fprintf oc {|{"id":"r%d","kernel":"matvec","m":64}|} i;
+      output_char oc '\n'
+    done);
+  let stdin_fd = Unix.openfile input [ Unix.O_RDONLY ] 0 in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process cli [| cli; "serve"; "--jobs"; "2" |] stdin_fd out_w devnull
+  in
+  List.iter Unix.close [ stdin_fd; devnull; out_w ];
+  let first = read_response out_r in
+  Unix.close out_r;
+  Alcotest.(check bool) ("first line answered: " ^ first) true
+    (Astring.String.is_infix ~affix:{|"id":"r1"|} first);
+  exits_cleanly pid "serve with a broken stdout"
+
+let test_serve_pipe_sigterm () =
+  (* --jobs 3 over a pipe that stays open: once idle, a SIGTERM (which
+     any of the three domains' threads may catch) stops the reader and
+     serve exits 0 without waiting for EOF *)
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid = Unix.create_process cli [| cli; "serve"; "--jobs"; "3" |] in_r out_w devnull in
+  List.iter Unix.close [ in_r; out_w; devnull ];
+  Fun.protect ~finally:(fun () -> Unix.close in_w; Unix.close out_r) @@ fun () ->
+  let line = {|{"id":"t0","kernel":"matvec","m":64}|} ^ "\n" in
+  ignore (Unix.write_substring in_w line 0 (String.length line));
+  Alcotest.(check bool) "answered before the signal" true
+    (Astring.String.is_infix ~affix:{|"id":"t0"|} (read_response out_r));
+  Unix.sleepf 0.3;
+  Unix.kill pid Sys.sigterm;
+  exits_cleanly ~timeout:10.0 pid "serve --jobs 3 after SIGTERM"
+
 (* Untiled LRU simulation of n^3 matmul points at a cache of 8 words:
    about a second at the default n = 160. *)
 let heavy ?(n = 160) id =
   Printf.sprintf
     {|{"id":"%s","kernel":"i = %d, j = %d, k = %d : C[i,k] += A[i,j] * B[j,k]","m":8,"schedules":["untiled"],"policies":["lru"]}|}
     id n n n
-
-let counter_value name lines =
-  List.find_map
-    (fun l ->
-      match List.filter (( <> ) "") (String.split_on_char ' ' l) with
-      | [ n; v ] when n = name -> int_of_string_opt (String.concat "" (String.split_on_char ',' v))
-      | _ -> None)
-    lines
 
 let test_serve_no_head_of_line () =
   (* at --jobs 2 an analytic request on B is answered while A's
@@ -976,6 +1043,8 @@ let () =
           Alcotest.test_case "golden transcript" `Quick test_serve_golden;
           Alcotest.test_case "plans preloaded" `Quick test_serve_plans;
           Alcotest.test_case "metrics" `Quick test_serve_metrics;
+          Alcotest.test_case "broken stdout returns" `Quick test_serve_broken_stdout;
+          Alcotest.test_case "pipe SIGTERM at --jobs 3" `Quick test_serve_pipe_sigterm;
           Alcotest.test_case "telemetry, log and top" `Quick test_serve_telemetry_and_top;
           Alcotest.test_case "profile telemetry" `Quick test_profile_telemetry;
           Alcotest.test_case "multi-client unix socket" `Quick test_serve_multi_client;

@@ -1,5 +1,5 @@
 (* The serve layer: request decoding, response encoding, and the
-   transport-agnostic batching loop (driven by scripted events — no
+   transport-agnostic dispatch loop (driven by scripted events — no
    pipes or sockets, so every scenario is deterministic), plus the
    checked engine API underneath it. *)
 
@@ -290,7 +290,7 @@ let run_loop ?(cfg = { (Serve.default_config ()) with jobs = 1 }) events =
 let req ?(extra = "") i = Printf.sprintf {|{"id":"r%d","kernel":"matvec","m":64%s}|} i extra
 
 let test_loop_order () =
-  (* one batch of four: responses come back in arrival order *)
+  (* four lines: responses come back in arrival order *)
   let events = [ Serve.Line (req 0); Line (req 1); Line (req 2); Line (req 3); Eof ] in
   let out = run_loop events in
   Alcotest.(check (list (option string))) "arrival order"
@@ -301,11 +301,35 @@ let test_loop_order () =
     Alcotest.(check int) "versioned" 1 (resp_version l))
     out
 
-let test_loop_wait_splits_batches () =
-  (* Wait closes the current batch; the loop then blocks for the next *)
+let test_loop_wait_between_lines () =
+  (* Wait (an interrupted read) is retried: the line after it is served *)
   let events = [ Serve.Line (req 0); Wait; Line (req 1); Eof ] in
   let out = run_loop events in
   Alcotest.(check int) "both answered" 2 (List.length out)
+
+let test_loop_answers_before_reading_on () =
+  (* jobs = 1: each line is answered before the next is read, so the
+     analytic answer is out before the simulation line is even pulled
+     from the reader (reading ahead would pull both lines first) *)
+  let events =
+    ref [ Serve.Line (req 0); Line (req ~extra:{|,"schedules":["optimal"]|} 1); Eof ]
+  in
+  let yielded = ref 0 in
+  let next ~block:_ =
+    match !events with
+    | [] -> Serve.Eof
+    | e :: rest ->
+      incr yielded;
+      events := rest;
+      e
+  in
+  let emitted_after = ref [] in
+  Serve.serve
+    { (Serve.default_config ()) with jobs = 1 }
+    ~next
+    ~emit:(fun _ -> emitted_after := !yielded :: !emitted_after);
+  Alcotest.(check (list int)) "events read when each response was emitted" [ 1; 2 ]
+    (List.rev !emitted_after)
 
 let test_loop_malformed_recovery () =
   (* a garbage line gets an error response under a minted "srv-N" id
@@ -402,21 +426,8 @@ let test_loop_opt_too_large () =
       (Astring.String.is_infix ~affix:"3375000 iterations > 1048576" l)
   | out -> Alcotest.failf "expected 1 response, got %d" (List.length out)
 
-let test_loop_overloaded () =
-  (* capacity 1: of three immediately-available lines, the first is
-     admitted, the second rejected as overloaded (with its id), and the
-     third — beyond this cycle's bounded reads — is served next cycle *)
-  let cfg = { (Serve.default_config ()) with jobs = 1; queue_capacity = 1 } in
-  let out = run_loop ~cfg [ Serve.Line (req 0); Line (req 1); Line (req 2); Eof ] in
-  Alcotest.(check (list (option string))) "order"
-    [ Some "r0"; Some "r1"; Some "r2" ]
-    (List.map resp_id out);
-  Alcotest.(check (list (option string))) "middle rejected"
-    [ None; Some "overloaded"; None ]
-    (List.map resp_error_code out)
-
 let test_loop_eof_drains () =
-  (* EOF seen while draining: the whole admitted batch is still answered *)
+  (* EOF after three lines: every line read is still answered *)
   let out = run_loop [ Serve.Line (req 0); Line (req 1); Line (req 2); Eof ] in
   Alcotest.(check int) "all three answered" 3 (List.length out)
 
@@ -429,8 +440,8 @@ let test_loop_stop_flag () =
   Alcotest.(check int) "stop before reading" 0 (List.length !out)
 
 let test_batch_matches_sequential () =
-  (* the same requests, batched wide vs one at a time, produce
-     byte-identical response lines *)
+  (* the same requests, on four domains vs one, produce byte-identical
+     response lines *)
   let reqs =
     List.init 8 (fun i ->
       Printf.sprintf
@@ -468,7 +479,7 @@ let test_report_matches_engine () =
   | _ -> Alcotest.failf "expected 1 response, got %d" (List.length out)
 
 let test_loop_compile_op () =
-  (* a compile request rides in a normal batch and returns the plan
+  (* a compile request rides among analyze lines and returns the plan
      envelope; the plan is byte-identical to Tiling_plan.to_json *)
   let expected = Tiling_plan.to_json (Tiling_plan.compile (spec_of "matmul")) in
   let out =
@@ -597,13 +608,13 @@ let counter_delta (d : Obs.snapshot) name =
 let test_loop_plan_first_warmup () =
   (* the first request touching a new shape compiles its plan and is
      answered from it: no tiling LP is solved, not even on first touch,
-     and a later batch at an unseen M needs no compile either *)
+     and a later request at an unseen M needs no compile either *)
   Pipeline.reset_caches ();
   Fun.protect ~finally:Pipeline.reset_caches @@ fun () ->
   let s0 = Obs.snapshot () in
   let first = run_loop [ Serve.Line (req 0); Eof ] in
   let d = Obs.diff s0 (Obs.snapshot ()) in
-  Alcotest.(check int) "first batch answered" 1 (List.length first);
+  Alcotest.(check int) "first request answered" 1 (List.length first);
   Alcotest.(check bool) "ok" true (resp_ok (List.hd first));
   Alcotest.(check int) "first touch: zero LP misses" 0 (counter_delta d "memo.lp.misses");
   Alcotest.(check int) "first touch: one compile" 1 (timer_calls d "plan.compile");
@@ -612,7 +623,7 @@ let test_loop_plan_first_warmup () =
     run_loop [ Serve.Line {|{"id":"warm","kernel":"matvec","m":4096}|}; Eof ]
   in
   let d = Obs.diff s1 (Obs.snapshot ()) in
-  Alcotest.(check int) "second batch answered" 1 (List.length second);
+  Alcotest.(check int) "second request answered" 1 (List.length second);
   Alcotest.(check int) "unseen M: zero LP misses" 0 (counter_delta d "memo.lp.misses");
   Alcotest.(check int) "unseen M: no compile" 0 (timer_calls d "plan.compile")
 
@@ -676,7 +687,7 @@ let test_refused_shape_answers_by_lp () =
 
 (* Byte-mutation fuzz of the serve loop: every golden request under
    seeded single-byte flips, deletions and truncations. Each mutated line
-   is its own batch and must get exactly one well-formed response (ok
+   must get exactly one well-formed response (ok
    plus an id, or an error object), and the loop must still answer a
    valid request afterwards. *)
 let mutate rng line =
@@ -739,8 +750,10 @@ let test_serve_counters () =
   Alcotest.(check int) "errors" 2 (cv "serve.errors");
   Alcotest.(check int) "parse errors" 1 (cv "serve.parse_errors");
   Alcotest.(check int) "deadline exceeded" 1 (cv "serve.deadline_exceeded");
-  Alcotest.(check int) "batches" 1 (cv "serve.batches");
-  Alcotest.(check int) "batch high-watermark" 3 (cv "serve.batch_size_max")
+  (* a batch is one poller turn that read a line; one pipe gives one
+     line per turn *)
+  Alcotest.(check int) "batches" 3 (cv "serve.batches");
+  Alcotest.(check int) "batch high-watermark" 1 (cv "serve.batch_size_max")
 
 let test_minted_ids () =
   (* id-less requests get consecutive "srv-N" ids in arrival order;
@@ -760,44 +773,40 @@ let test_minted_ids () =
 
 let test_serve_gauges () =
   Obs.reset ();
-  (* between batches both levels sit at zero; the watermark window shows
-     the batch actually drove them up *)
+  (* after the drain both levels sit at zero; the watermark window shows
+     each line waited for a domain and ran *)
   let _ = run_loop [ Serve.Line (req 0); Line (req 1); Line (req 2); Eof ] in
   let g = (Obs.snapshot ()).Obs.sgauges in
   (match List.assoc_opt "serve.queue_depth" g with
   | None -> Alcotest.fail "serve.queue_depth gauge missing"
   | Some st ->
-    Alcotest.(check int) "queue idle after the batch" 0 st.Obs.gvalue;
-    Alcotest.(check int) "window max saw the batch depth" 3 st.Obs.gmax);
+    Alcotest.(check int) "queue idle after the drain" 0 st.Obs.gvalue;
+    Alcotest.(check int) "window max saw one waiting line" 1 st.Obs.gmax);
   match List.assoc_opt "serve.inflight" g with
   | None -> Alcotest.fail "serve.inflight gauge missing"
   | Some st ->
-    Alcotest.(check int) "nothing inflight after the batch" 0 st.Obs.gvalue;
+    Alcotest.(check int) "nothing inflight after the drain" 0 st.Obs.gvalue;
     Alcotest.(check bool) "window max saw execution" true (st.Obs.gmax >= 1)
 
 let test_loop_class_admission () =
-  (* Per-class seats: with queue_capacity 1, one analytic and one
-     simulation-class request are both admitted in the same cycle — the
-     simulation line does not consume the analytic class's seat (the
-     class-blind queue would have rejected it). The second analytic line
-     overflows its own class and is rejected; the line after the
-     rejection cap is left for the next cycle and served fine. *)
+  (* The per-class cap counts requests waiting for a domain. Over one
+     pipe each line is read by the domain that runs it, so no line waits:
+     even a cap of 1 per class answers no line overloaded, on one domain
+     or on three. *)
   let sim = {|,"schedules":["optimal"]|} in
-  let cfg = { (Serve.default_config ()) with jobs = 1; queue_capacity = 1 } in
-  let out =
-    run_loop ~cfg
-      [
-        Serve.Line (req 0); Line (req ~extra:sim 1); Line (req 2);
-        Line (req ~extra:sim 3); Eof;
-      ]
-  in
-  Alcotest.(check (list (option string))) "arrival order"
-    [ Some "r0"; Some "r1"; Some "r2"; Some "r3" ]
-    (List.map resp_id out);
-  Alcotest.(check (list (option string)))
-    "both classes admitted; only the class overflow rejected"
-    [ None; None; Some "overloaded"; None ]
-    (List.map resp_error_code out)
+  let lines = [ req 0; req ~extra:sim 1; req 2; req ~extra:sim 3 ] in
+  List.iter
+    (fun jobs ->
+      let cfg = { (Serve.default_config ()) with jobs; queue_capacity = 1 } in
+      let out = run_loop ~cfg (List.map (fun l -> Serve.Line l) lines @ [ Serve.Eof ]) in
+      Alcotest.(check (list (option string))) "arrival order"
+        [ Some "r0"; Some "r1"; Some "r2"; Some "r3" ]
+        (List.map resp_id out);
+      Alcotest.(check (list (option string)))
+        (Printf.sprintf "jobs %d: both classes admitted, none overloaded" jobs)
+        [ None; None; None; None ]
+        (List.map resp_error_code out))
+    [ 1; 3 ]
 
 let test_serve_class_telemetry () =
   (* One request per class: each lands in its own latency histogram and
@@ -826,7 +835,7 @@ let test_serve_class_telemetry () =
   List.iter
     (fun n ->
       let st = gauge n in
-      Alcotest.(check int) (n ^ " idle after the batch") 0 st.Obs.gvalue;
+      Alcotest.(check int) (n ^ " idle after the drain") 0 st.Obs.gvalue;
       Alcotest.(check int) (n ^ " watermark saw its class") 1 st.Obs.gmax)
     [ "serve.queue_depth.analytic"; "serve.queue_depth.simulation" ]
 
@@ -906,14 +915,15 @@ let () =
       ( "loop",
         [
           Alcotest.test_case "arrival order" `Quick test_loop_order;
-          Alcotest.test_case "wait splits batches" `Quick test_loop_wait_splits_batches;
+          Alcotest.test_case "wait between lines" `Quick test_loop_wait_between_lines;
+          Alcotest.test_case "answers before reading on" `Quick
+            test_loop_answers_before_reading_on;
           Alcotest.test_case "malformed recovery" `Quick test_loop_malformed_recovery;
           Alcotest.test_case "deep JSON line" `Quick test_loop_deep_json;
           Alcotest.test_case "line length cap" `Quick test_reader_line_cap;
           Alcotest.test_case "deadline" `Quick test_loop_deadline;
           Alcotest.test_case "OPT trace too large" `Quick test_loop_opt_too_large;
           Alcotest.test_case "default deadline" `Quick test_loop_default_deadline;
-          Alcotest.test_case "overloaded" `Quick test_loop_overloaded;
           Alcotest.test_case "eof drains batch" `Quick test_loop_eof_drains;
           Alcotest.test_case "stop flag" `Quick test_loop_stop_flag;
           Alcotest.test_case "batch = sequential" `Quick test_batch_matches_sequential;

@@ -163,8 +163,8 @@ let export_parallel_trace () =
   in
   (* [Pipeline.sweep_checked ~jobs:3 reqs] with a latch in each item's
      first stage: the simulation continuations still go to the pool's
-     deques, where any lane may steal them, and every worker lane gets a
-     span however fast the analysis is. *)
+     simulation queue, where any lane may claim them, and every worker
+     lane gets a span however fast the analysis is. *)
   let wait = latch 3 in
   List.iter
     (function
