@@ -4,6 +4,7 @@
      dune exec bench/compare.exe -- bench/baseline/BENCH_engine.json BENCH_engine.json
      dune exec bench/compare.exe -- --strict --time-threshold 0.5 OLD NEW
      dune exec bench/compare.exe -- --strict --only E18 OLD NEW
+     dune exec bench/compare.exe -- --strict --only E18 --gate-counters simplex.solves OLD NEW
 
    Checks, per experiment id:
      - wall time: NEW more than (1 + threshold) x OLD seconds is a
@@ -26,6 +27,14 @@
    regression in either fails CI even when no single experiment's wall
    time trips the per-experiment check.
 
+   --gate-counters NAME1,NAME2 compares the named aggregate obs counters
+   (obs.counters.<name>) with zero tolerance: a counter missing from the
+   NEW file, or above its baseline value, is a finding. Counters count
+   the work itself (LP solves, pivots, search nodes, simulated accesses),
+   so unlike a timer they do not move with the machine's load; keep
+   scheduling-dependent counters (pool.*, serve.*, memo hits,
+   watermarks) out of this gate.
+
    --gate-ratio EXP:LABEL:MIN (repeatable) asserts that experiment EXP
    in the NEW file carries words_moved label LABEL with value >= MIN —
    the gate for measured speedup ratios (e.g. E19's analytic-class
@@ -37,7 +46,8 @@
    makes it 1.
 
    Field tolerance: comparison reads only "v", "experiments", and (under
-   --gate-timers) obs.timers.<name>.seconds. Everything else in the
+   --gate-timers / --gate-counters) obs.timers.<name>.seconds and
+   obs.counters.<name>. Everything else in the
    envelope is deliberately ignored so the bench JSON can grow without
    breaking old baselines — in particular the "ts" write timestamp and
    the obs "gauges" section (point-in-time levels, meaningless to diff
@@ -77,6 +87,11 @@ let timer_seconds json name =
     Option.bind (Jsonlite.member "timers" obs) (fun timers ->
       Option.bind (Jsonlite.member name timers) (Jsonlite.num_member "seconds")))
 
+(* obs.counters.<name>, or None when absent. *)
+let counter_value json name =
+  Option.bind (Jsonlite.member "obs" json) (fun obs ->
+    Option.bind (Jsonlite.member "counters" obs) (Jsonlite.num_member name))
+
 let experiments_of path json =
   let exps =
       match Jsonlite.list_member "experiments" json with
@@ -110,6 +125,7 @@ let () =
   let threshold = ref 0.25 in
   let only = ref [] in
   let gate_timers = ref [] in
+  let gate_counters = ref [] in
   let gate_ratios = ref [] in
   let paths = ref [] in
   let rec parse_args = function
@@ -127,6 +143,9 @@ let () =
       parse_args rest
     | "--gate-timers" :: names :: rest ->
       gate_timers := !gate_timers @ String.split_on_char ',' names;
+      parse_args rest
+    | "--gate-counters" :: names :: rest ->
+      gate_counters := !gate_counters @ String.split_on_char ',' names;
       parse_args rest
     | "--gate-ratio" :: spec :: rest ->
       (match String.split_on_char ':' spec with
@@ -148,7 +167,7 @@ let () =
     | _ ->
       die
         "usage: compare [--strict] [--time-threshold T] [--only E1,E2] [--gate-timers \
-         T1,T2] [--gate-ratio EXP:LABEL:MIN] BASELINE.json NEW.json"
+         T1,T2] [--gate-counters C1,C2] [--gate-ratio EXP:LABEL:MIN] BASELINE.json NEW.json"
   in
   (* --only narrows the comparison to the named experiment ids (repeatable,
      comma-separable) — the CI gate on the plan-layer experiment uses this
@@ -218,6 +237,15 @@ let () =
           Printf.printf "gate ok: timer %S %.3fs -> %.3fs (%+.0f%%)\n" name b n
             (100.0 *. ((n /. b) -. 1.0)))
     !gate_timers;
+  List.iter
+    (fun name ->
+      match (counter_value base_json name, counter_value new_json name) with
+      | None, _ -> report "COUNTER MISSING %S not in baseline %s\n" name base_path
+      | _, None -> report "COUNTER MISSING %S not in %s\n" name new_path
+      | Some b, Some n ->
+        if n > b then report "COUNTER REGRESSION %S: %.17g -> %.17g\n" name b n
+        else Printf.printf "gate ok: counter %S %.17g -> %.17g\n" name b n)
+    !gate_counters;
   (* Ratio gates read only the NEW file: they bound this run's measured
      speedups, not a diff against the baseline's machine. *)
   let all_fresh = experiments_of new_path new_json in

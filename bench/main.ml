@@ -777,73 +777,45 @@ let e18 () =
   print_endline "and bound, with zero simplex solves."
 
 (* ------------------------------------------------------------------ *)
-(* E19 — serve concurrency: class-aware queues vs coarse FIFO          *)
+(* E19 — serve concurrency: class-aware serve loop vs class-blind FIFO  *)
 (* ------------------------------------------------------------------ *)
 
 let t_fifo_analytic = Obs.timer "bench.e19.fifo_wait.analytic"
 let t_fifo_simulation = Obs.timer "bench.e19.fifo_wait.simulation"
 
-(* E19's baseline arm, the class-blind FIFO: [jobs] workers (the caller
-   plus spawned domains) claim whole requests in submit order off one
-   shared counter. Each request's wait, measured from submission, goes
-   to its class's timer, so both arms' p99 come from the same histogram
-   estimate as the pool's queue-wait timers. *)
-let fifo_sweep ~jobs reqs =
-  let reqs = Array.of_list reqs in
-  let n = Array.length reqs in
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
-  let submitted = Unix.gettimeofday () in
-  let rec worker () =
-    let i = Atomic.fetch_and_add next 1 in
-    if i < n then begin
-      let timer =
-        match Pipeline.classify reqs.(i) with
-        | Pool.Analytic -> t_fifo_analytic
-        | Pool.Simulation -> t_fifo_simulation
-      in
-      Obs.add_seconds timer (Unix.gettimeofday () -. submitted);
-      results.(i) <- Some (Pipeline.run_checked reqs.(i));
-      worker ()
-    end
-  in
-  let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join domains;
-  List.map Option.get (Array.to_list results)
-
 let e19 () =
   (* The concurrent-serve regime: slow simulation requests land just
      ahead of a burst of cheap analytic ones — the adversarial order for
      a class-blind FIFO, where every analytic request queues behind all
-     the simulation work. The class-aware scheduler ({!Pool}: two class
-     queues under one lock, all analytic work claimed before any
-     simulation work, simulation tails split off as separate tasks) is
-     the arm under test; [fifo_sweep] above is the ablation baseline.
-     The gate is the analytic-class p99 queue wait, enforced against
-     the baseline by compare.exe --gate-ratio (the absolute
-     milliseconds are machine-dependent and exempt from the
-     byte-equality check — only deterministic fields and the ratio are
-     gated). *)
-  let sim_reqs =
-    List.map
-      (fun (spec, m) ->
-        Pipeline.request ~shared:true ~sims:[ Pipeline.sim Pipeline.Optimal ] spec ~m)
-      [
-        (Kernels.matmul ~l1:128 ~l2:128 ~l3:128, 1024);
-        (Kernels.matmul ~l1:128 ~l2:96 ~l3:96, 512);
-        (Kernels.nbody ~l1:768 ~l2:768, 256);
-        (Kernels.matmul ~l1:96 ~l2:128 ~l3:96, 2048);
-        (Kernels.nbody ~l1:1024 ~l2:512, 1024);
-        (Kernels.matmul ~l1:96 ~l2:96 ~l3:128, 4096);
-      ]
+     the simulation work. Both arms start from the same request lines.
+     The class-aware arm is the serve loop itself ({!Serve.serve}), one
+     in-memory connection per line, so one poller turn admits all of
+     them and analytic lines are claimed before any simulation. The
+     ablation baseline is {!Pool.map_list} over the decoded requests: it
+     claims in input order, class-blind. The gate is the analytic-class
+     p99 queue wait, enforced against the baseline by compare.exe
+     --gate-ratio (the absolute milliseconds are machine-dependent and
+     exempt from the byte-equality check — only deterministic fields
+     and the ratio are gated). *)
+  let line ~sims i (spec, m) =
+    Printf.sprintf {|{"v":2,"op":"analyze","id":"e19-%d","kernel":%s,"m":%d%s}|} i
+      (Jsonlite.quote (Option.get (Parser.to_dsl spec)))
+      m
+      (if sims then {|,"schedules":["optimal"]|} else "")
   in
-  let analytic_reqs =
+  let sim_points =
+    [
+      (Kernels.matmul ~l1:128 ~l2:128 ~l3:128, 1024);
+      (Kernels.matmul ~l1:128 ~l2:96 ~l3:96, 512);
+      (Kernels.nbody ~l1:768 ~l2:768, 256);
+      (Kernels.matmul ~l1:96 ~l2:128 ~l3:96, 2048);
+      (Kernels.nbody ~l1:1024 ~l2:512, 1024);
+      (Kernels.matmul ~l1:96 ~l2:96 ~l3:128, 4096);
+    ]
+  in
+  let analytic_points =
     List.concat_map
-      (fun spec ->
-        List.map
-          (fun m -> Pipeline.request ~shared:true spec ~m)
-          [ 64; 256; 1024; 4096; 16384; 65536 ])
+      (fun spec -> List.map (fun m -> (spec, m)) [ 64; 256; 1024; 4096; 16384; 65536 ])
       [
         Kernels.matmul ~l1:64 ~l2:64 ~l3:64;
         Kernels.matmul ~l1:1024 ~l2:1024 ~l3:8;
@@ -854,26 +826,64 @@ let e19 () =
         Kernels.nbody ~l1:32 ~l2:4096;
       ]
   in
-  let reqs = sim_reqs @ analytic_reqs in
+  let n_sim = List.length sim_points in
+  let lines =
+    List.mapi (fun i p -> line ~sims:(i < n_sim) i p) (sim_points @ analytic_points)
+  in
+  let reqs =
+    List.map
+      (fun l ->
+        match Request.decode l with
+        | Ok ({ Request.body = Request.Analyze { m; sims; shared; _ }; _ } as r) ->
+          (r, sims = [], Pipeline.request ~sims ~shared r.Request.spec ~m)
+        | _ -> failwith ("E19: bad request line " ^ l))
+      lines
+  in
   let jobs = 4 in
-  let run_arm ~wait sweep =
+  (* The FIFO arm answers with the bytes serve would write for its
+     reports, so the two arms compare line for line. *)
+  let fifo_arm () =
+    let submitted = Unix.gettimeofday () in
+    Pool.map_list ~jobs
+      (fun ((r : Request.t), analytic, preq) ->
+        Obs.add_seconds
+          (if analytic then t_fifo_analytic else t_fifo_simulation)
+          (Unix.gettimeofday () -. submitted);
+        let v = r.Request.v and id = r.Request.id and warnings = r.Request.warnings in
+        match Pipeline.run_checked preq with
+        | Ok rep ->
+          Serve_protocol.ok_response ~warnings ~v ~id
+            ~report_json:(Report.to_json ~timings:false rep) ()
+        | Error e -> Serve_protocol.error_response ~v ~id e)
+      reqs
+  in
+  let serve_arm () =
+    let conn l =
+      let pending = ref [ Serve.Line l ] and out = ref [] in
+      let next ~block:_ =
+        match !pending with
+        | e :: rest ->
+          pending := rest;
+          e
+        | [] -> Serve.Eof
+      in
+      ((next, fun r -> out := r :: !out), out)
+    in
+    let conns = List.map conn lines in
+    Serve.serve { (Serve.default_config ()) with jobs } (List.map fst conns);
+    List.concat_map (fun (_, out) -> List.rev !out) conns
+  in
+  let run_arm ~wait arm =
     Pipeline.reset_caches ();
     let s0 = Obs.snapshot () in
-    let results = sweep reqs in
+    let responses = arm () in
     let d = Obs.diff s0 (Obs.snapshot ()) in
     let p99 name =
       match List.assoc_opt name d.Obs.stimers with
       | Some t -> Obs.percentile t.Obs.tdist 99.0 /. 1e6
       | None -> 0.0
     in
-    let jsons =
-      List.map
-        (function
-          | Ok r -> Report.to_json ~timings:false r
-          | Error e -> "error:" ^ Engine_error.code e)
-        results
-    in
-    (jsons, p99 (wait ^ ".analytic"), p99 (wait ^ ".simulation"))
+    (responses, p99 (wait ^ ".analytic"), p99 (wait ^ ".simulation"))
   in
   (* One run of each arm reads a ratio that moves by about a quarter on
      unchanged code, so the arms run [reps] times, interleaved, and the
@@ -881,8 +891,8 @@ let e19 () =
      first pair is charged to E19's cost (see [repeat_run]). *)
   let reps = 5 in
   let pair () =
-    let fifo = run_arm ~wait:"bench.e19.fifo_wait" (fifo_sweep ~jobs) in
-    let split = run_arm ~wait:"pool.queue_wait" (Pipeline.sweep_checked ~jobs) in
+    let fifo = run_arm ~wait:"bench.e19.fifo_wait" fifo_arm in
+    let split = run_arm ~wait:"serve.queue_wait" serve_arm in
     (fifo, split)
   in
   let first = pair () in
@@ -900,13 +910,13 @@ let e19 () =
   let split_p99 = med (fun (_, (_, p, _)) -> p) in
   let split_sim_p99 = med (fun (_, (_, _, p)) -> p) in
   rowf "%d requests (%d simulation-class first, then %d analytic-class), %d jobs,\n"
-    (List.length reqs) (List.length sim_reqs) (List.length analytic_reqs) jobs;
+    (List.length reqs) n_sim (List.length analytic_points) jobs;
   rowf "medians of %d interleaved runs of each arm:\n" reps;
   rowf "  %-22s | %16s %16s %18s\n" "scheduler" "analytic p99" "simulation p99"
     "reports identical";
   rowf "  %-22s | %13.3f ms %13.3f ms %18s\n" "coarse FIFO (ablation)" fifo_p99 fifo_sim_p99
     "(reference)";
-  rowf "  %-22s | %13.3f ms %13.3f ms %18s\n" "class-aware queues" split_p99 split_sim_p99
+  rowf "  %-22s | %13.3f ms %13.3f ms %18s\n" "class-aware serve loop" split_p99 split_sim_p99
     (if identical then "yes" else "NO");
   rowf "  analytic p99 improvement: %.1fx median, %.1fx-%.1fx\n" ratio lo hi;
   note_int "requests" (List.length reqs);
@@ -923,10 +933,10 @@ let e19 () =
   print_endline
     "simulation requests submitted ahead of it, so the analytic-class p99 queue wait is the";
   print_endline
-    "length of the simulation backlog; the class-aware scheduler answers the whole analytic";
+    "length of the simulation backlog; the serve loop claims the whole analytic burst";
   print_endline
-    "burst before touching simulation tails, collapsing that p99 by >=10x with byte-identical";
-  print_endline "reports."
+    "before any simulation, collapsing that p99 by >=10x with byte-identical response";
+  print_endline "lines."
 
 (* ------------------------------------------------------------------ *)
 (* E20 — partition solver: Pool-simulated schedule = model, exactly;   *)
@@ -1182,7 +1192,7 @@ let tables ~s0 () =
       ("E16", "ablation: exact vs float simplex on the tiling LPs  [DESIGN.md]", e16);
       ("E17", "distributed memory-dependent regime (Irony-Toledo-Tiskin shape)  [Sec 7]", e17);
       ("E18", "tiling plans: plan-served vs LP-served, byte-identity and miss collapse", e18);
-      ("E19", "serve concurrency: class-aware queues vs coarse FIFO queue wait", e19);
+      ("E19", "serve concurrency: class-aware serve loop vs class-blind FIFO queue wait", e19);
       ("E20", "partition: Pool-simulated schedule = model exactly; Al Daas bounds  [Sec 7]", e20);
     ];
   write_json ~s0 "BENCH_engine.json"

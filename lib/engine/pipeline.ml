@@ -316,8 +316,6 @@ let catch_errors f =
   | exception e -> (
     match Engine_error.of_exn e with Some t -> Error t | None -> raise e)
 
-let classify req = if req.rsims = [] then Pool.Analytic else Pool.Simulation
-
 let run_staged ?deadline req =
   match validate req with
   | Some e -> Pool.Done (Error e)
@@ -338,8 +336,7 @@ let run_staged ?deadline req =
 let run_checked ?deadline req =
   match run_staged ?deadline req with Pool.Done r -> r | Pool.More f -> f ()
 
-let sweep_checked ?jobs ?deadline reqs =
-  Pool.map_staged_list ?jobs ~classify (run_staged ?deadline) reqs
+let sweep_checked ?jobs ?deadline reqs = Pool.map_list ?jobs (run_checked ?deadline) reqs
 
 (* ------------------------------------------------------------------ *)
 (* Distributed-memory partitioning                                    *)

@@ -65,33 +65,27 @@ val run_checked :
 
 val run_staged :
   ?deadline:float -> request -> (Report.t, Engine_error.t) result Pool.staged
-(** {!run_checked} split at the analysis-vs-simulate boundary for the
-    class-queued {!Pool}. The first stage runs the validation and the
-    memoized analysis; a request with no simulations (or that fails
-    early) finishes there as [Done]. A simulation-carrying request
-    returns [More] whose thunk runs the shared-tile search and every
-    simulation — on the pool that tail re-queues at [Simulation] class,
-    so it never blocks analytic work behind it. Forcing the staged value
-    is exactly [run_checked]: same results, same error mapping, same
-    memo effects. *)
-
-val classify : request -> Pool.priority
-(** The admission classification: [Analytic] iff the request carries no
-    simulations (plan/LP lookups are sub-millisecond; simulations are
-    seconds). Used by {!sweep_checked} and the serve daemon's per-class
-    queues. *)
+(** {!run_checked} split at the analysis-vs-simulate boundary. The first
+    stage runs the validation and the memoized analysis; a request with
+    no simulations (or that fails early) finishes there as [Done]. A
+    simulation-carrying request returns [More] whose thunk runs the
+    shared-tile search and every simulation. Nothing in the engine
+    re-queues that thunk: forcing the staged value is exactly
+    [run_checked] (same results, same error mapping, same memo effects),
+    and the split stays only so the repository benchmark's in-process
+    replay can time the two stages apart. *)
 
 val sweep_checked :
   ?jobs:int -> ?deadline:float -> request list ->
   (Report.t, Engine_error.t) result list
-(** {!run_staged} over the pool ({!Pool.map_staged_list} with
-    {!classify}): one [result] per request, input order, failures
-    isolated per element (one bad request never poisons the batch).
-    Analytic requests run ahead of simulation tails however the input
-    interleaves them; every report is byte-identical (under {!Report.pp})
-    to what [List.map run_checked] produces, whatever [jobs] is. The
-    one [deadline] applies to every request; callers needing
-    per-request deadlines map {!run_checked} over {!Pool} directly. *)
+(** {!run_checked} over {!Pool.map_list}: one [result] per request,
+    input order, failures isolated per element (one bad request never
+    poisons the batch). Requests are claimed in input order whatever
+    their class — the class-aware order is the serve loop's — and every
+    report is byte-identical (under {!Report.pp}) to what
+    [List.map run_checked] produces, whatever [jobs] is. The one
+    [deadline] applies to every request; callers needing per-request
+    deadlines map {!run_checked} over {!Pool} directly. *)
 
 val sim_iteration_limit : int
 (** Iteration-count ceiling above which simulation requests are refused

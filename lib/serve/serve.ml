@@ -40,6 +40,13 @@ let t_request = Obs.timer "serve.request"
 let t_request_analytic = Obs.timer "serve.request.analytic"
 let t_request_simulation = Obs.timer "serve.request.simulation"
 
+(* Admission-to-claim wait, overall and per class: where the claim
+   policy shows. An analytic request's wait must not grow with the
+   simulations admitted beside it. *)
+let t_queue_wait = Obs.timer "serve.queue_wait"
+let t_queue_wait_analytic = Obs.timer "serve.queue_wait.analytic"
+let t_queue_wait_simulation = Obs.timer "serve.queue_wait.simulation"
+
 (* Live levels for the dashboard: the queue depth (requests waiting for
    a domain) with its per-class split, how many requests are executing
    right now, and how many client connections are open. *)
@@ -81,10 +88,12 @@ let count_error err =
    Simulation class. Compile requests are analytic: plan compilation is
    bounded by the enumeration budget and serves the fast path. *)
 
+type cls = Analytic | Simulation
+
 type item = {
   it_id : string;
   it_v : int;  (** wire version to stamp on the response envelope *)
-  it_class : Pool.priority;
+  it_class : cls;
   it_warnings : Serve_protocol.warning list;
   it_work : (Request.t * float option, Engine_error.t) result;
       (** decoded request plus its absolute deadline, or the decode error *)
@@ -92,12 +101,12 @@ type item = {
 
 let classify_request (req : Request.t) =
   match req.Request.body with
-  | Request.Compile | Request.Partition _ -> Pool.Analytic
+  | Request.Compile | Request.Partition _ -> Analytic
   | Request.Analyze { sims; _ } | Request.Sweep { sims; _ } ->
-    if sims = [] then Pool.Analytic else Pool.Simulation
+    if sims = [] then Analytic else Simulation
 
 let error_item session ~id ~v err =
-  { it_id = ensure_id session id; it_v = v; it_class = Pool.Analytic;
+  { it_id = ensure_id session id; it_v = v; it_class = Analytic;
     it_warnings = []; it_work = Error err }
 
 let decode_line cfg session ~admitted_at line =
@@ -174,8 +183,8 @@ let run_one item =
     Obs.add_seconds t_request dt;
     Obs.add_seconds
       (match item.it_class with
-      | Pool.Analytic -> t_request_analytic
-      | Pool.Simulation -> t_request_simulation)
+      | Analytic -> t_request_analytic
+      | Simulation -> t_request_simulation)
       dt;
     Obs.add_gauge g_inflight (-1);
     (item, res, { l_op = op; l_seconds = dt; l_stages = stages })
@@ -416,8 +425,8 @@ let tcp_listener port =
 
 let c_domains = Obs.counter "serve.domains_spawned"
 
-(* An admitted request waiting for a domain. *)
-type job = { j_conn : conn; j_slot : slot; j_item : item }
+(* An admitted request waiting for a domain, and when it was admitted. *)
+type job = { j_conn : conn; j_slot : slot; j_item : item; j_at : float }
 
 (* Leader/follower dispatch over [cfg.jobs] domains: the caller's and
    [jobs - 1] spawned once, all running [next]. A domain claims waiting
@@ -426,7 +435,7 @@ type job = { j_conn : conn; j_slot : slot; j_item : item }
    admits what it read, gives the role up and claims work itself. The
    domain that finishes a request writes its response. With [jobs = 1]
    this is read a line, run it, answer it, on one domain. [conns] are
-   the connections open at the start (the pipe's); [listeners] accept
+   the connections open at the start ([serve]'s); [listeners] accept
    more. The loop returns once no listener and no live connection
    remains, or [stop] reads true, and everything read is answered. *)
 let dispatch_loop ?(stop = fun () -> false) cfg ~listeners conns =
@@ -435,7 +444,7 @@ let dispatch_loop ?(stop = fun () -> false) cfg ~listeners conns =
   let polling = ref false (* a domain holds the poller role *) in
   let draining = ref false (* stop seen or nothing left to read *) in
   let failure = Atomic.make None in
-  let queue_of = function Pool.Analytic -> analytic | Pool.Simulation -> simulation in
+  let queue_of = function Analytic -> analytic | Simulation -> simulation in
   (* Under [lock]: the live waiting counts. *)
   let set_depth () =
     let a = Queue.length analytic and s = Queue.length simulation in
@@ -501,7 +510,7 @@ let dispatch_loop ?(stop = fun () -> false) cfg ~listeners conns =
           | Some item ->
             let slot = { s_out = None } in
             Mutex.protect c.c_lock (fun () -> Queue.push slot c.c_slots);
-            read := { j_conn = c; j_slot = slot; j_item = item } :: !read
+            read := { j_conn = c; j_slot = slot; j_item = item; j_at = admitted_at } :: !read
           | None -> (
             match ev with
             | Eof -> Mutex.protect c.c_lock (fun () -> c.c_eof <- true)
@@ -511,8 +520,8 @@ let dispatch_loop ?(stop = fun () -> false) cfg ~listeners conns =
     List.rev !read
   in
   (* One turn of the poller role. With no listener there is nothing to
-     select on: the turn blocks in the reader of the one connection (the
-     pipe), and [None] once it is finished. With listeners, buffered lines
+     select on: the turn calls each live connection's reader in turn with
+     [~block:true] (the pipe has one), and [None] once all are finished. With listeners, buffered lines
      come first: bytes already pulled into a reader can no longer trip
      select. A client whose EOF that round read is closed before the
      wait. *)
@@ -572,6 +581,13 @@ let dispatch_loop ?(stop = fun () -> false) cfg ~listeners conns =
       claim ()
   in
   let execute j =
+    let waited = Unix.gettimeofday () -. j.j_at in
+    Obs.add_seconds t_queue_wait waited;
+    Obs.add_seconds
+      (match j.j_item.it_class with
+      | Analytic -> t_queue_wait_analytic
+      | Simulation -> t_queue_wait_simulation)
+      waited;
     let outcome = Obs.Trace.with_span "serve.request" (fun () -> run_one j.j_item) in
     answer j.j_conn j.j_slot (fun () -> send_response cfg ~emit:(conn_emit j.j_conn) outcome)
   in
@@ -636,11 +652,12 @@ let dispatch_loop ?(stop = fun () -> false) cfg ~listeners conns =
         (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
         (Atomic.get failure))
 
-let serve ?stop cfg ~next ~emit =
-  dispatch_loop ?stop cfg ~listeners:[] [ new_conn ~num:0 ~next ~write:emit () ]
+let serve ?stop cfg conns =
+  dispatch_loop ?stop cfg ~listeners:[]
+    (List.mapi (fun num (next, emit) -> new_conn ~num ~next ~write:emit ()) conns)
 
 let run_pipe ?stop cfg =
-  serve ?stop cfg ~next:(reader_of_fd Unix.stdin) ~emit:(write_line Unix.stdout)
+  serve ?stop cfg [ (reader_of_fd Unix.stdin, write_line Unix.stdout) ]
 
 let run_daemon ?stop cfg ?socket_path ?tcp_port () =
   let listeners = ref [] and finalizers = ref [] in

@@ -7,7 +7,8 @@
     {!Memo} tables amortize them. Over stdin/stdout ({!serve},
     {!run_pipe}) and over sockets ({!run_daemon}) one dispatch loop runs
     each request as it arrives on one of [jobs] persistent domains; the
-    pipe is that loop with a single connection and no listener.
+    pipe is that loop with a single connection and no listener. That
+    loop holds the repository's only class-aware scheduler.
 
     Production semantics:
     - {b Classed admission}: requests are decoded and classified at
@@ -69,7 +70,11 @@
     [serve.open_connections] (socket clients currently connected), and
     timers (with latency histograms) [serve.request] and the per-class
     latency histograms [serve.request.analytic] /
-    [serve.request.simulation]. A "batch" ([serve.batches]) is one
+    [serve.request.simulation], and the admission-to-claim wait
+    [serve.queue_wait] with its per-class split
+    [serve.queue_wait.analytic] / [serve.queue_wait.simulation] — the
+    claim policy's own metric: an analytic request's p99 wait there is
+    what to alert on. A "batch" ([serve.batches]) is one
     poller turn that read at least one line. Each request is a
     [serve.request] trace span on the lane of the domain that ran it.
     Structured log events (when a {!Obs.Log} sink is set):
@@ -111,19 +116,25 @@ val default_config : unit -> config
     deadline, no slow-request threshold. *)
 
 val serve :
-  ?stop:(unit -> bool) -> config -> next:(block:bool -> event) ->
-  emit:(string -> unit) -> unit
+  ?stop:(unit -> bool) -> config -> ((block:bool -> event) * (string -> unit)) list -> unit
 (** The transport-agnostic entry: the dispatch loop of {!run_daemon}
-    with no listener and one connection, which pulls lines with [next]
-    and pushes response lines (no trailing newline) with [emit]. Only
-    the domain holding the poller role calls [next], always with
-    [~block:true]; it may return [Wait] when interrupted or after
-    waiting a while (the loop re-checks [stop] and calls again). [emit]
-    is called under the connection's lock, one response at a time, in
-    arrival order; an [emit] raising [Unix.Unix_error] marks the
-    connection dead, and later responses are dropped. Returns once the
-    connection is finished ([Eof] read or dead) or [stop] reads true,
-    with every line read answered and the domains joined. *)
+    with no listener and the given connections, each a pair [(next,
+    emit)] that pulls lines with [next] and pushes response lines (no
+    trailing newline) with [emit]. The pipe is a list of one. Only the
+    domain holding the poller role calls a [next]: each poller turn
+    calls every live connection's reader in turn, always with
+    [~block:true], and takes at most one line from each; a reader may
+    return [Wait] when interrupted or after waiting a while (the loop
+    re-checks [stop] and calls again). Lines read in one turn are
+    claimed analytic first, so an analytic line on one connection is
+    answered ahead of a simulation read beside it on another. [emit] is
+    called under its connection's lock, one response at a time, in that
+    connection's arrival order, and each connection's bytes equal what
+    serving it alone would produce; an [emit] raising [Unix.Unix_error]
+    marks its connection dead, and its later responses are dropped.
+    Returns once every connection is finished ([Eof] read or dead) or
+    [stop] reads true, with every line read answered and the domains
+    joined. *)
 
 (** {1 Transports} *)
 

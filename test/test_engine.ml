@@ -161,9 +161,14 @@ let test_pool_map_order_and_values () =
     (Pool.map_list ~jobs:2 (fun x -> 2 * x) [ 1; 2; 3 ])
 
 let test_pool_propagates_exceptions () =
+  (* Two items fail; the lowest index's exception is the one re-raised,
+     whichever worker hit its failure first. *)
   Alcotest.check_raises "worker exception resurfaces" (Failure "boom") (fun () ->
-    ignore (Pool.map ~jobs:3 (fun x -> if x = 17 then failwith "boom" else x)
-              (Array.init 64 (fun i -> i))))
+    ignore
+      (Pool.map ~jobs:3
+         (fun x ->
+           if x = 17 then failwith "boom" else if x = 40 then failwith "later" else x)
+         (Array.init 64 (fun i -> i))))
 
 let test_pool_jobs_env_override () =
   Unix.putenv "PROJTILE_JOBS" "7";
@@ -187,34 +192,8 @@ let test_pool_validate_jobs () =
   check "float rejected" "2.5" None
 
 (* ------------------------------------------------------------------ *)
-(* Staged scheduling and worker instrumentation                       *)
+(* Worker instrumentation                                             *)
 (* ------------------------------------------------------------------ *)
-
-let test_pool_staged_values_and_order () =
-  (* A mixed workload: every third task carries a second stage (the
-     simulation-tail shape). Values and order must match the plain map
-     whatever the scheduler does, on the split scheduler and the
-     sequential path. *)
-  let xs = List.init 50 Fun.id in
-  let classify i = if i mod 3 = 0 then Pool.Simulation else Pool.Analytic in
-  let f i =
-    if i mod 3 = 0 then Pool.More (fun () -> (i * 10) + 1) else Pool.Done (i * 10)
-  in
-  let expect = List.map (fun i -> if i mod 3 = 0 then (i * 10) + 1 else i * 10) xs in
-  Alcotest.(check (list int)) "split scheduler" expect
-    (Pool.map_staged_list ~jobs:4 ~classify f xs);
-  Alcotest.(check (list int)) "sequential path" expect
-    (Pool.map_staged_list ~jobs:1 ~classify f xs)
-
-let test_pool_staged_continuation_exception () =
-  Alcotest.check_raises "exception from the second stage resurfaces"
-    (Failure "boom2") (fun () ->
-      ignore
-        (Pool.map_staged_list ~jobs:3
-           ~classify:(fun _ -> Pool.Analytic)
-           (fun i ->
-             if i = 7 then Pool.More (fun () -> failwith "boom2") else Pool.Done i)
-           (List.init 32 Fun.id)))
 
 let test_pool_worker_instrumentation () =
   (* Regression: these were dead before the work-stealing rewrite — the
@@ -233,9 +212,7 @@ let test_pool_worker_instrumentation () =
     (timer_calls "pool.worker_busy" > 0);
   Alcotest.(check bool) "worker idle time measured" true
     (timer_calls "pool.worker_idle" > 0);
-  Alcotest.(check int) "queue wait recorded per task" 40 (timer_calls "pool.queue_wait");
-  Alcotest.(check int) "analytic-class wait recorded per task" 40
-    (timer_calls "pool.queue_wait.analytic")
+  Alcotest.(check int) "queue wait recorded per task" 40 (timer_calls "pool.queue_wait")
 
 (* ------------------------------------------------------------------ *)
 (* Sharded memo under concurrent domains                              *)
@@ -710,10 +687,6 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_pool_propagates_exceptions;
           Alcotest.test_case "validate_jobs" `Quick test_pool_validate_jobs;
           Alcotest.test_case "PROJTILE_JOBS" `Quick test_pool_jobs_env_override;
-          Alcotest.test_case "staged values and order" `Quick
-            test_pool_staged_values_and_order;
-          Alcotest.test_case "staged continuation exception" `Quick
-            test_pool_staged_continuation_exception;
           Alcotest.test_case "worker instrumentation" `Quick
             test_pool_worker_instrumentation;
         ] );

@@ -284,7 +284,7 @@ let feeder events =
 
 let run_loop ?(cfg = { (Serve.default_config ()) with jobs = 1 }) events =
   let out = ref [] in
-  Serve.serve cfg ~next:(feeder events) ~emit:(fun l -> out := l :: !out);
+  Serve.serve cfg [ (feeder events, fun l -> out := l :: !out) ];
   List.rev !out
 
 let req ?(extra = "") i = Printf.sprintf {|{"id":"r%d","kernel":"matvec","m":64%s}|} i extra
@@ -326,8 +326,7 @@ let test_loop_answers_before_reading_on () =
   let emitted_after = ref [] in
   Serve.serve
     { (Serve.default_config ()) with jobs = 1 }
-    ~next
-    ~emit:(fun _ -> emitted_after := !yielded :: !emitted_after);
+    [ (next, fun _ -> emitted_after := !yielded :: !emitted_after) ];
   Alcotest.(check (list int)) "events read when each response was emitted" [ 1; 2 ]
     (List.rev !emitted_after)
 
@@ -383,8 +382,7 @@ let test_reader_line_cap () =
   let out = ref [] in
   Serve.serve
     { (Serve.default_config ()) with jobs = 1 }
-    ~next:(Serve.reader_of_fd fd)
-    ~emit:(fun l -> out := l :: !out);
+    [ (Serve.reader_of_fd fd, fun l -> out := l :: !out) ];
   let out = List.rev !out in
   Alcotest.(check (list (option string))) "codes"
     [ None; Some "invalid_request"; None; None ]
@@ -435,8 +433,7 @@ let test_loop_stop_flag () =
   let out = ref [] in
   Serve.serve ~stop:(fun () -> true)
     { (Serve.default_config ()) with jobs = 1 }
-    ~next:(feeder [ Serve.Line (req 0) ])
-    ~emit:(fun l -> out := l :: !out);
+    [ (feeder [ Serve.Line (req 0) ], fun l -> out := l :: !out) ];
   Alcotest.(check int) "stop before reading" 0 (List.length !out)
 
 let test_batch_matches_sequential () =
@@ -458,6 +455,36 @@ let test_batch_matches_sequential () =
     run_loop (List.concat_map (fun l -> [ Serve.Line l; Serve.Wait ]) reqs @ [ Serve.Eof ])
   in
   Alcotest.(check (list string)) "byte-identical" narrow wide
+
+let test_loop_class_order_across_connections () =
+  (* jobs = 1, two connections read in one poller turn: A sends a
+     simulation, B an analytic line. The analytic line is claimed first,
+     so B is answered before A, and each connection still gets the bytes
+     it would get served alone. *)
+  let sim = req ~extra:{|,"schedules":["optimal"]|} 0 and analytic = req 1 in
+  let cfg = { (Serve.default_config ()) with jobs = 1 } in
+  let alone line = run_loop [ Serve.Line line; Eof ] in
+  let sim_alone = alone sim and analytic_alone = alone analytic in
+  let emitted = ref [] in
+  let conn name line =
+    (feeder [ Serve.Line line; Eof ], fun l -> emitted := (name, l) :: !emitted)
+  in
+  let s0 = Obs.snapshot () in
+  Serve.serve cfg [ conn "A" sim; conn "B" analytic ];
+  let d = Obs.diff s0 (Obs.snapshot ()) in
+  let emitted = List.rev !emitted in
+  Alcotest.(check (list string)) "B (analytic) answered before A (simulation)" [ "B"; "A" ]
+    (List.map fst emitted);
+  let bytes_of name = List.filter_map (fun (n, l) -> if n = name then Some l else None) emitted in
+  Alcotest.(check (list string)) "A's bytes as served alone" sim_alone (bytes_of "A");
+  Alcotest.(check (list string)) "B's bytes as served alone" analytic_alone (bytes_of "B");
+  let calls n =
+    match List.assoc_opt n d.Obs.stimers with Some t -> t.Obs.tcalls | None -> 0
+  in
+  Alcotest.(check int) "one analytic wait" 1 (calls "serve.queue_wait.analytic");
+  Alcotest.(check int) "one simulation wait" 1 (calls "serve.queue_wait.simulation");
+  Alcotest.(check int) "the class waits partition serve.queue_wait" 2
+    (calls "serve.queue_wait")
 
 let test_report_matches_engine () =
   (* a serve response embeds exactly the report the engine API returns *)
@@ -927,6 +954,8 @@ let () =
           Alcotest.test_case "eof drains batch" `Quick test_loop_eof_drains;
           Alcotest.test_case "stop flag" `Quick test_loop_stop_flag;
           Alcotest.test_case "batch = sequential" `Quick test_batch_matches_sequential;
+          Alcotest.test_case "class order across connections" `Quick
+            test_loop_class_order_across_connections;
           Alcotest.test_case "compile op" `Quick test_loop_compile_op;
           Alcotest.test_case "sweep op" `Quick test_loop_sweep_op;
           Alcotest.test_case "partition op" `Quick test_loop_partition_op;

@@ -161,19 +161,18 @@ let export_parallel_trace () =
       (fun m -> Pipeline.request ~sims:[ Pipeline.sim Pipeline.Optimal ] ~shared:true spec ~m)
       [ 64; 128; 256; 512 ]
   in
-  (* [Pipeline.sweep_checked ~jobs:3 reqs] with a latch in each item's
-     first stage: the simulation continuations still go to the pool's
-     simulation queue, where any lane may claim them, and every worker
-     lane gets a span however fast the analysis is. *)
+  (* [Pipeline.sweep_checked ~jobs:3 reqs] with a latch in front of
+     each item: no item starts until three lanes hold one, so every
+     worker lane gets a span however fast the analysis is. *)
   let wait = latch 3 in
   List.iter
     (function
       | Ok _ -> ()
       | Error e -> Alcotest.failf "sweep: %s" (Engine_error.to_string e))
-    (Pool.map_staged_list ~jobs:3 ~classify:Pipeline.classify
+    (Pool.map_list ~jobs:3
        (fun req ->
          wait ();
-         Pipeline.run_staged req)
+         Pipeline.run_checked req)
        reqs);
   Obs.Trace.disable ();
   Obs.Trace.export_json ()
