@@ -5,8 +5,13 @@ type lp_solution = { lambda : Rat.t array; value : Rat.t; dual : Rat.t array }
    silently defeats every "is this bigger than the budget/cap?" guard
    downstream (the PR 2 class of 2^63 regressions). All inputs here are
    non-negative; max_int is as good as the true value for every consumer,
-   because they only compare against small budgets and caps. *)
-let mul_sat a b = if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
+   because they only compare against small budgets and caps. Operands
+   below 2^31 cannot overflow, and skip the division. *)
+let mul_sat a b =
+  if (a lor b) lsr 31 = 0 then a * b
+  else if a = 0 || b = 0 then 0
+  else if a > max_int / b then max_int
+  else a * b
 let add_sat a b = if a > max_int - b then max_int else a + b
 
 (* Search instrumentation (aggregated per search call, never per node in
@@ -176,223 +181,209 @@ let num_tiles spec b =
 
 type traffic = { reads : float; writes : float }
 
-let analytic_traffic spec b =
-  let d = Spec.num_loops spec in
-  let tiles_along = Array.init d (fun i -> ((spec.Spec.bounds.(i) - 1) / b.(i)) + 1) in
-  let reads = ref 0.0 and writes = ref 0.0 in
-  Array.iter
-    (fun (a : Spec.array_ref) ->
-      (* Tile footprints factor per dimension, and clipped edge tiles in a
-         support dimension sum back to exactly L_i, so the words moved for
-         array j are array_words(j) * prod_{i not in supp} tiles_along(i). *)
-      let outside = ref 1.0 in
-      for i = 0 to d - 1 do
-        if not (Array.exists (fun k -> k = i) a.Spec.support) then
-          outside := !outside *. float_of_int tiles_along.(i)
-      done;
-      (* array_words as a float product: Spec.array_words wraps on huge
-         bounds, and a wrapped word count poisons every traffic figure. *)
-      let array_words = ref 1.0 in
-      Array.iter
-        (fun i -> array_words := !array_words *. float_of_int spec.Spec.bounds.(i))
-        a.Spec.support;
-      let words = !array_words *. !outside in
-      (match a.Spec.mode with
-      | Spec.Read -> reads := !reads +. words
-      | Spec.Write -> writes := !writes +. words
-      | Spec.Update ->
-        reads := !reads +. words;
-        writes := !writes +. words))
+(* Per-shape tables for traffic accounting, built once per search or
+   traffic evaluation. *)
+type shape = {
+  spec : Spec.t;
+  n : int;
+  member : bool array;  (* member.(i * n + j): loop i is in array j's support *)
+  words : float array;
+      (* array_words as a float product over the support, in support
+         order: Spec.array_words wraps on huge bounds, and a wrapped word
+         count poisons every traffic figure *)
+  weight : float array;  (* 2 for an Update array (read and written), else 1 *)
+}
+
+let shape spec =
+  let n = Spec.num_arrays spec in
+  let member = Array.make (Spec.num_loops spec * n) false in
+  Array.iteri
+    (fun j (a : Spec.array_ref) -> Array.iter (fun i -> member.((i * n) + j) <- true) a.Spec.support)
     spec.Spec.arrays;
+  let words =
+    Array.map
+      (fun (a : Spec.array_ref) ->
+        Array.fold_left (fun w i -> w *. float_of_int spec.Spec.bounds.(i)) 1.0 a.Spec.support)
+      spec.Spec.arrays
+  in
+  let weight =
+    Array.map
+      (fun (a : Spec.array_ref) ->
+        match a.Spec.mode with Spec.Update -> 2.0 | Spec.Read | Spec.Write -> 1.0)
+      spec.Spec.arrays
+  in
+  { spec; n; member; words; weight }
+
+(* Traffic accounting of a tile assigned loop by loop, outermost first.
+   Level k (slots [k*n .. k*n + n - 1], one per array) describes the
+   prefix b_0..b_{k-1} with every later loop at 1:
+
+   - [fp]: array j's footprint (saturating);
+   - [run]: words_j times the tile counts of j's non-support loops,
+     multiplied in loop order;
+   - [retained]: [run] as it stood at j's innermost support loop with
+     more than one tile ([words_j] while there is none);
+   - [outside]: the tile counts of j's non-support loops, multiplied in
+     loop order from 1.0;
+   - [tiles.(k)]: the product of all tile counts (saturating);
+   - [bound.(k)]: sum_j weight_j * retained_j, in array order.
+
+   Tile footprints factor per dimension, and clipped edge tiles in a
+   support dimension sum back to exactly L_i, so under the per-tile
+   reload model array j moves words_j * outside_j words. Under the
+   retained model (consecutive tiles in lexicographic order that touch
+   the same block of an array charge it once), array j's projection
+   changes exactly at the odometer steps whose carry reaches s'_j = the
+   innermost support dimension with more than one tile, so it moves
+
+     retained_j = words_j * prod { tiles_i : i < s'_j, i not in supp_j }
+
+   and words_j when every support dimension has a single tile. All
+   factors are integers, and each product is taken in the same order as
+   the tile-grid walk it replaced (test/tiling_reference.ml), so the
+   floats agree bit for bit. Each level costs O(n) from the one above. *)
+type levels = {
+  fp : int array;
+  run : float array;
+  retained : float array;
+  outside : float array;
+  tiles : int array;
+  bound : float array;
+}
+
+let levels sh =
+  let size = (Spec.num_loops sh.spec + 1) * sh.n in
+  let with_words () =
+    let a = Array.make size 0.0 in
+    Array.blit sh.words 0 a 0 sh.n;
+    a
+  in
+  {
+    fp = Array.make size 1;
+    run = with_words ();
+    retained = with_words ();
+    outside = Array.make size 1.0;
+    tiles = Array.make (Spec.num_loops sh.spec + 1) 1;
+    bound = Array.make (Spec.num_loops sh.spec + 1) 0.0;
+  }
+
+let tiles_along l v = ((l - 1) / v) + 1
+
+(* Level k+1 from level k, with loop k at size [v] cut into [t] tiles.
+   Returns the total footprint of the prefix (saturating): the floor of
+   every completion's footprint. *)
+let step sh lv k v t =
+  let n = sh.n in
+  let src = k * n in
+  let dst = src + n in
+  let tf = float_of_int t in
+  lv.tiles.(k + 1) <- mul_sat lv.tiles.(k) t;
+  let total = ref 0 and bound = ref 0.0 in
+  for j = 0 to n - 1 do
+    let s = src + j and d = dst + j in
+    if sh.member.(s) then begin
+      lv.fp.(d) <- mul_sat lv.fp.(s) v;
+      lv.run.(d) <- lv.run.(s);
+      lv.retained.(d) <- (if t > 1 then lv.run.(s) else lv.retained.(s));
+      lv.outside.(d) <- lv.outside.(s)
+    end
+    else begin
+      lv.fp.(d) <- lv.fp.(s);
+      lv.run.(d) <- lv.run.(s) *. tf;
+      lv.retained.(d) <- lv.retained.(s);
+      lv.outside.(d) <- lv.outside.(s) *. tf
+    end;
+    total := add_sat !total lv.fp.(d);
+    bound := !bound +. (sh.weight.(j) *. lv.retained.(d))
+  done;
+  lv.bound.(k + 1) <- !bound;
+  !total
+
+(* Fill every level from the full tile [b]; returns its total footprint. *)
+let assign sh lv b =
+  let bounds = sh.spec.Spec.bounds in
+  let total = ref sh.n in
+  for k = 0 to Array.length bounds - 1 do
+    total := step sh lv k b.(k) (tiles_along bounds.(k) b.(k))
+  done;
+  !total
+
+(* Reads and writes of the full tile at the last level, under the
+   retained model or the per-tile reload model. *)
+let traffic_at sh lv ~retained =
+  let base = Spec.num_loops sh.spec * sh.n in
+  let reads = ref 0.0 and writes = ref 0.0 in
+  for j = 0 to sh.n - 1 do
+    let words =
+      if retained then lv.retained.(base + j) else sh.words.(j) *. lv.outside.(base + j)
+    in
+    match sh.spec.Spec.arrays.(j).Spec.mode with
+    | Spec.Read -> reads := !reads +. words
+    | Spec.Write -> writes := !writes +. words
+    | Spec.Update ->
+      reads := !reads +. words;
+      writes := !writes +. words
+  done;
   { reads = !reads; writes = !writes }
 
-(* Reference implementation of the retained model: walk the tile grid in
-   lexicographic order and charge an array only when its projected block
-   changes. Kept (a) as the executable specification the closed form
-   below is property-tested against, and (b) verbatim inside
-   [optimal_shared_reference]. The closed form replaced it on the hot
-   path: this walk was the dominant cost of [optimal_shared] (up to
-   [max_tiles] odometer steps per candidate tile, hundreds of candidates
-   per search). *)
-let retained_walk_capped ~max_tiles spec b =
-  let d = Spec.num_loops spec in
-  let n = Spec.num_arrays spec in
-  let tiles_along = Array.init d (fun i -> ((spec.Spec.bounds.(i) - 1) / b.(i)) + 1) in
-  (* Saturating product: with huge loop bounds the naive product wrapped
-     negative, the cap test passed, and the walk ran for billions of
-     steps. *)
-  let total_tiles = Array.fold_left mul_sat 1 tiles_along in
-  if total_tiles > max_tiles then analytic_traffic spec b
-  else begin
-    (* Walk the tile grid in lexicographic order; an array is (re)loaded
-       only when its projected block differs from the previous tile's. *)
-    let idx = Array.make d 0 in
-    let last = Array.make n (-1) in
-    let reads = ref 0.0 and writes = ref 0.0 in
-    let charge j =
-      let a = spec.Spec.arrays.(j) in
-      let fp = ref 1 in
-      Array.iter
-        (fun i ->
-          let o = idx.(i) * b.(i) in
-          fp := !fp * Stdlib.min b.(i) (spec.Spec.bounds.(i) - o))
-        a.Spec.support;
-      let words = float_of_int !fp in
-      match a.Spec.mode with
-      | Spec.Read -> reads := !reads +. words
-      | Spec.Write -> writes := !writes +. words
-      | Spec.Update ->
-        reads := !reads +. words;
-        writes := !writes +. words
-    in
-    let proj_key (a : Spec.array_ref) =
-      (* mixed-radix encoding of the projected tile coordinates *)
-      Array.fold_left (fun acc i -> (acc * (tiles_along.(i) + 1)) + idx.(i)) 0 a.Spec.support
-    in
-    let steps = ref total_tiles in
-    let continue = ref (total_tiles > 0) in
-    while !continue do
-      Array.iteri
-        (fun j a ->
-          let key = proj_key a in
-          if key <> last.(j) then begin
-            last.(j) <- key;
-            charge j
-          end)
-        spec.Spec.arrays;
-      (* odometer increment, innermost dimension fastest *)
-      decr steps;
-      if !steps = 0 then continue := false
-      else begin
-        let p = ref (d - 1) in
-        let carrying = ref true in
-        while !carrying do
-          idx.(!p) <- idx.(!p) + 1;
-          if idx.(!p) < tiles_along.(!p) then carrying := false
-          else begin
-            idx.(!p) <- 0;
-            decr p
-          end
-        done
-      end
-    done;
-    { reads = !reads; writes = !writes }
-  end
+let analytic_traffic spec b =
+  let sh = shape spec in
+  let lv = levels sh in
+  ignore (assign sh lv b);
+  traffic_at sh lv ~retained:false
 
-(* Closed form for the walk above. In lexicographic tile order (innermost
-   dimension fastest), the projection of the tile index onto array j's
-   support changes exactly at the odometer steps whose carry reaches
-   position s'_j = the innermost support dimension with more than one
-   tile. So the walk charges one block per combination of the digits at
-   positions 0..s'_j; summing the clipped projected footprints over the
-   support digits reconstitutes the whole array exactly (clipped edge
-   tiles sum back to L_i per dimension), leaving
+let analytic_traffic_retained spec b =
+  let sh = shape spec in
+  let lv = levels sh in
+  ignore (assign sh lv b);
+  traffic_at sh lv ~retained:(lv.tiles.(Spec.num_loops spec) <= 2_000_000)
 
-     retained_j = array_words_j * prod { tiles_i : i < s'_j, i not in supp_j }
-
-   and retained_j = array_words_j when every support dimension has a
-   single tile (the projection never changes; the first tile charges the
-   whole array). All quantities are integers below 2^53, so the float
-   accumulation matches the walk bit for bit. *)
-let analytic_traffic_retained_capped ~max_tiles spec b =
-  let d = Spec.num_loops spec in
-  let tiles_along = Array.init d (fun i -> ((spec.Spec.bounds.(i) - 1) / b.(i)) + 1) in
-  let total_tiles = Array.fold_left mul_sat 1 tiles_along in
-  if total_tiles > max_tiles then analytic_traffic spec b
-  else begin
-    let in_support = Array.make d false in
-    let reads = ref 0.0 and writes = ref 0.0 in
-    Array.iter
-      (fun (a : Spec.array_ref) ->
-        Array.fill in_support 0 d false;
-        let s' = ref (-1) in
-        Array.iter
-          (fun i ->
-            in_support.(i) <- true;
-            if tiles_along.(i) > 1 then s' := Stdlib.max !s' i)
-          a.Spec.support;
-        let words =
-          (* array_words, as a float product so huge bounds cannot wrap *)
-          let w = ref 1.0 in
-          Array.iter (fun i -> w := !w *. float_of_int spec.Spec.bounds.(i)) a.Spec.support;
-          for i = 0 to !s' - 1 do
-            if not in_support.(i) then w := !w *. float_of_int tiles_along.(i)
-          done;
-          !w
-        in
-        match a.Spec.mode with
-        | Spec.Read -> reads := !reads +. words
-        | Spec.Write -> writes := !writes +. words
-        | Spec.Update ->
-          reads := !reads +. words;
-          writes := !writes +. words)
-      spec.Spec.arrays;
-    { reads = !reads; writes = !writes }
-  end
-
-let analytic_traffic_retained spec b = analytic_traffic_retained_capped ~max_tiles:2_000_000 spec b
-
-let analytic_traffic_retained_walk spec b = retained_walk_capped ~max_tiles:2_000_000 spec b
-
-(* Retention credit is only real when the working set leaves LRU some
-   headroom: at exactly-full capacity a cyclic reuse pattern degenerates
-   to a full thrash (classic LRU pathology), so tiles above 3/4 of the
-   budget are judged by the pessimistic per-tile-reload model.
-   [fp <= m - ceil(m/4)] is [4*fp <= 3*m] rewritten overflow-free: the
-   footprint saturates at max_int for huge tiles, and [4 * max_int]
+(* The objective the shared-budget search minimizes, for the tile at the
+   last level of [lv] with total footprint [total]. Retention credit is
+   only real when the working set leaves LRU some headroom: at
+   exactly-full capacity a cyclic reuse pattern degenerates to a full
+   thrash (classic LRU pathology), so tiles above 3/4 of the budget are
+   judged by the pessimistic per-tile-reload model, as are tiles with
+   huge tile counts (far from optimal anyway).
+   [total <= m - ceil(m/4)] is [4*total <= 3*m] rewritten overflow-free:
+   the footprint saturates at max_int for huge tiles, and [4 * max_int]
    wrapped the old form around (as does [m + 3] for m near max_int —
    hence ceil as [(m - 1) / 4 + 1]). *)
-let retain_headroom spec ~m b = total_footprint spec b <= m - (((m - 1) / 4) + 1)
-
-(* The objective the shared-budget search minimizes. The retained model
-   is also skipped for candidates with huge tile counts (they are far
-   from optimal anyway). *)
-let search_traffic spec ~m b =
+let search_traffic sh lv ~m ~total =
+  let headroom = total <= m - (((m - 1) / 4) + 1) in
   let tr =
-    if retain_headroom spec ~m b then analytic_traffic_retained_capped ~max_tiles:100_000 spec b
-    else analytic_traffic spec b
+    traffic_at sh lv ~retained:(headroom && lv.tiles.(Spec.num_loops sh.spec) <= 100_000)
   in
   tr.reads +. tr.writes
 
-(* Same objective evaluated with the reference grid walk instead of the
-   closed form — only [optimal_shared_reference] uses it. *)
-let search_traffic_walk spec ~m b =
-  let tr =
-    if retain_headroom spec ~m b then retained_walk_capped ~max_tiles:100_000 spec b
-    else analytic_traffic spec b
-  in
-  tr.reads +. tr.writes
-
-(* Local search minimizing the analytic traffic of the tiled schedule
-   under a *total* footprint budget. The LP optimum is typically a face,
-   and different vertices round to integer tiles with very different
-   constant factors; a few greedy moves recover most of the gap.
-   [traffic_of] is the candidate objective ([search_traffic spec ~m] on
-   the production path). *)
-let refine_shared_with traffic_of spec ~m b =
-  let d = Spec.num_loops spec in
+(* Local search minimizing the search objective under a *total*
+   footprint budget. The LP optimum is typically a face, and different
+   vertices round to integer tiles with very different constant factors;
+   a few greedy moves recover most of the gap. *)
+let refine_shared sh lv ~m b =
+  let spec = sh.spec in
+  let n = sh.n in
   (* Largest value of dimension i keeping the total footprint <= m. *)
   let shared_cap t i =
     let fixed = ref 0 and per_unit = ref 0 in
-    Array.iter
-      (fun (a : Spec.array_ref) ->
+    Array.iteri
+      (fun j (a : Spec.array_ref) ->
         let fp =
           Array.fold_left (fun acc k -> acc * (if k = i then 1 else t.(k))) 1 a.Spec.support
         in
-        if Array.exists (fun k -> k = i) a.Spec.support then per_unit := !per_unit + fp
-        else fixed := !fixed + fp)
+        if sh.member.((i * n) + j) then per_unit := !per_unit + fp else fixed := !fixed + fp)
       spec.Spec.arrays;
     if !per_unit = 0 then spec.Spec.bounds.(i)
     else Stdlib.min spec.Spec.bounds.(i) ((m - !fixed) / !per_unit)
   in
   let best = Array.copy b in
-  let best_traffic = ref (traffic_of best) in
+  let best_traffic = ref (search_traffic sh lv ~m ~total:(assign sh lv best)) in
   let improved = ref true in
   let rounds = ref 0 in
   while !improved && !rounds < 64 do
     improved := false;
     incr rounds;
-    for i = 0 to d - 1 do
+    for i = 0 to Array.length best - 1 do
       let cap = shared_cap best i in
       let candidates =
         [ 1; 2; best.(i) / 2; best.(i) * 2; cap; cap / 2; spec.Spec.bounds.(i) ]
@@ -403,8 +394,9 @@ let refine_shared_with traffic_of spec ~m b =
           if v <> best.(i) then begin
             let old = best.(i) in
             best.(i) <- v;
-            if total_footprint spec best <= m then begin
-              let tr = traffic_of best in
+            let total = assign sh lv best in
+            if total <= m then begin
+              let tr = search_traffic sh lv ~m ~total in
               if tr < !best_traffic -. 0.5 then begin
                 best_traffic := tr;
                 improved := true
@@ -430,56 +422,38 @@ let pow2_ladder l =
   in
   Array.of_list (pows [] 1)
 
-(* Admissible traffic lower bound for a branch-and-bound node: dimensions
-   [0, assigned) carry committed tile sizes in [b]; the rest are free.
-   Under the retained model, array j's traffic carries a factor
-   tiles_along(k) for every non-support dimension k below the innermost
-   support dimension with more than one tile. Unassigned dimensions sit
-   below (inner to) every assigned one, so completing the assignment can
-   only move that innermost dimension further in and multiply by more
-   factors >= 1: the value below never exceeds the true retained traffic
-   of any completion. The retained model never exceeds the per-tile
-   reload model, so the bound is admissible whichever branch of
-   [search_traffic] judges the leaf. This is the LP-dual insight of
-   Demmel–Rusciano (arXiv:1611.05944) in integer form: committed outer
-   tile counts price a subtree's traffic from below, so subtrees that
-   cannot beat the incumbent are cut without evaluation. *)
-let traffic_lower_bound spec ~assigned b =
-  let lb = ref 0.0 in
-  Array.iter
-    (fun (a : Spec.array_ref) ->
-      let s' = ref (-1) in
-      Array.iter
-        (fun i ->
-          if i < assigned && ((spec.Spec.bounds.(i) - 1) / b.(i)) + 1 > 1 then
-            s' := Stdlib.max !s' i)
-        a.Spec.support;
-      let words = ref 1.0 in
-      Array.iter (fun i -> words := !words *. float_of_int spec.Spec.bounds.(i)) a.Spec.support;
-      for i = 0 to !s' - 1 do
-        if not (Array.exists (fun k -> k = i) a.Spec.support) then
-          words := !words *. float_of_int (((spec.Spec.bounds.(i) - 1) / b.(i)) + 1)
-      done;
-      let w = match a.Spec.mode with Spec.Update -> 2.0 | Spec.Read | Spec.Write -> 1.0 in
-      lb := !lb +. (w *. !words))
-    spec.Spec.arrays;
-  !lb
-
 (* Branch-and-bound sweep over log-spaced tile dimensions (powers of two
-   plus the loop bound itself), minimizing analytic traffic under the
-   shared budget. Greedy single-dimension moves can get trapped (raising
-   one dimension may require first lowering another); this global sweep
-   cannot. Partial assignments are pruned (a) by the footprint they
-   already imply with all remaining dimensions at 1, and (b) by the
-   admissible traffic lower bound against the incumbent. The search
-   starts from the LP seed's traffic as incumbent and returns [Some]
-   only on a strict improvement, preserving the visit order and
+   plus the loop bound itself), minimizing the search objective under
+   the shared budget. Greedy single-dimension moves can get trapped
+   (raising one dimension may require first lowering another); this
+   global sweep cannot. Assigning loop i at a ladder value computes level
+   i+1 of [lv] from level i in O(n), and prunes the subtree
+
+   (a) when the prefix footprint (every remaining loop at 1) already
+       exceeds m. The floor only grows along the ascending ladder, so
+       the rest of the ladder is counted as pruned unvisited;
+   (b) when the admissible traffic lower bound sum_j weight_j *
+       retained_j of the prefix reaches the incumbent. Under the
+       retained model, array j's traffic carries a factor tiles_i for
+       every non-support loop i below its innermost multi-tile support
+       loop. Unassigned loops sit inside every assigned one, so
+       completing the assignment can only move that loop further in and
+       multiply by more factors >= 1; the retained model never exceeds
+       the per-tile reload model, so the bound holds whichever model
+       judges the leaf. This is the LP-dual insight of Demmel–Rusciano
+       (arXiv:1611.05944) in integer form: committed outer tile counts
+       price a subtree's traffic from below.
+
+   The search starts from the LP seed's traffic as incumbent and returns
+   [Some] only on a strict improvement, preserving the visit order and
    tie-breaking of the exhaustive sweep it replaced (first strict
    minimum wins), so results are byte-identical. *)
-let grid_search_shared spec ~m ~incumbent =
-  let objective = search_traffic spec ~m in
-  let d = Spec.num_loops spec in
-  let values = Array.init d (fun i -> pow2_ladder spec.Spec.bounds.(i)) in
+let grid_search_shared sh lv ~m ~incumbent =
+  let bounds = sh.spec.Spec.bounds in
+  let n = sh.n in
+  let d = Array.length bounds in
+  let values = Array.map pow2_ladder bounds in
+  let counts = Array.mapi (fun i vs -> Array.map (tiles_along bounds.(i)) vs) values in
   let b = Array.make d 1 in
   let best = ref None in
   let best_traffic = ref incumbent in
@@ -487,38 +461,37 @@ let grid_search_shared spec ~m ~incumbent =
   and leaves = ref 0
   and pruned_fp = ref 0
   and pruned_bound = ref 0 in
-  let rec go i =
+  let rec go i total =
     if i = d then begin
+      (* [total] <= m: the last footprint floor is the tile's footprint *)
       incr leaves;
-      if total_footprint spec b <= m then begin
-        let t = objective b in
-        if t < !best_traffic then begin
-          best_traffic := t;
-          best := Some (Array.copy b)
-        end
+      let t = search_traffic sh lv ~m ~total in
+      if t < !best_traffic then begin
+        best_traffic := t;
+        best := Some (Array.copy b)
       end
     end
     else begin
       incr nodes;
-      Array.iter
-        (fun v ->
-          b.(i) <- v;
-          (* prune: remaining dims at 1 already give a footprint floor *)
-          let floor_fp =
-            let saved = Array.sub b (i + 1) (d - i - 1) in
-            Array.fill b (i + 1) (d - i - 1) 1;
-            let fp = total_footprint spec b in
-            Array.blit saved 0 b (i + 1) (d - i - 1);
-            fp
-          in
-          if floor_fp > m then incr pruned_fp
-          else if traffic_lower_bound spec ~assigned:(i + 1) b >= !best_traffic then
-            incr pruned_bound
-          else go (i + 1))
-        values.(i)
+      let vs = values.(i) and ts = counts.(i) in
+      let len = Array.length vs in
+      let k = ref 0 in
+      while !k < len do
+        let v = vs.(!k) in
+        b.(i) <- v;
+        let floor_fp = step sh lv i v ts.(!k) in
+        if floor_fp > m then begin
+          pruned_fp := !pruned_fp + (len - !k);
+          k := len
+        end
+        else begin
+          if lv.bound.(i + 1) >= !best_traffic then incr pruned_bound else go (i + 1) floor_fp;
+          incr k
+        end
+      done
     end
   in
-  go 0;
+  go 0 n;
   Obs.incr ~by:!nodes c_search_nodes;
   Obs.incr ~by:!leaves c_search_leaves;
   Obs.incr ~by:!pruned_fp c_search_pruned_footprint;
@@ -531,6 +504,13 @@ let grid_search_shared spec ~m ~incumbent =
 let optimal_at_budget spec ~budget =
   if budget < 2 then Array.make (Spec.num_loops spec) 1 else optimal spec ~m:budget
 
+(* floor (budget * m / total): the int product while it fits, exact
+   rationals beyond. budget * m passes max_int for m > 2^31, and the
+   wrapped product collapsed the seed toward the all-ones tile. *)
+let scale_budget budget ~m ~total =
+  if budget <= max_int / m then budget * m / total
+  else Bigint.to_int (Rat.floor (Rat.div (Rat.mul_int (Rat.of_int budget) m) (Rat.of_int total)))
+
 (* Shrink the per-array budget until the grown tile's total footprint
    fits in the shared cache. Each failed round multiplies the budget by
    at most m/total < 1, so this terminates; budget = 1 always fits. *)
@@ -540,68 +520,26 @@ let lp_seed_shared spec ~m =
     let total = total_footprint spec tile in
     if total <= m || budget <= 1 || rounds = 0 then tile
     else begin
-      let scaled = budget * m / total in
+      let scaled = scale_budget budget ~m ~total in
       let next = if scaled < budget then scaled else budget - 1 in
       search (Stdlib.max 1 next) (rounds - 1)
     end
   in
   search m 32
 
-let shared_validate spec ~m =
-  if m < Spec.num_arrays spec then
-    invalid_arg "Tiling.optimal_shared: cache smaller than one word per array"
-
 let optimal_shared spec ~m =
-  shared_validate spec ~m;
+  if m < Spec.num_arrays spec then
+    invalid_arg "Tiling.optimal_shared: cache smaller than one word per array";
+  let sh = shape spec in
+  let lv = levels sh in
   let lp_seed = lp_seed_shared spec ~m in
+  let incumbent = search_traffic sh lv ~m ~total:(assign sh lv lp_seed) in
   let seed =
-    match grid_search_shared spec ~m ~incumbent:(search_traffic spec ~m lp_seed) with
+    match grid_search_shared sh lv ~m ~incumbent with
     | Some grid_seed -> grid_seed
     | None -> lp_seed
   in
-  refine_shared_with (search_traffic spec ~m) spec ~m seed
-
-(* The pre-closed-form, pre-pruning search, with the walk as objective
-   and the exhaustive sweep: the executable specification that
-   [optimal_shared] is property-tested against for byte-identical
-   tiles. Slow — test-only. *)
-let optimal_shared_reference spec ~m =
-  shared_validate spec ~m;
-  let objective = search_traffic_walk spec ~m in
-  let d = Spec.num_loops spec in
-  let values = Array.init d (fun i -> pow2_ladder spec.Spec.bounds.(i)) in
-  let b = Array.make d 1 in
-  let best = Array.make d 1 in
-  let best_traffic = ref infinity in
-  let rec go i =
-    if i = d then begin
-      if total_footprint spec b <= m then begin
-        let t = objective b in
-        if t < !best_traffic then begin
-          best_traffic := t;
-          Array.blit b 0 best 0 d
-        end
-      end
-    end
-    else
-      Array.iter
-        (fun v ->
-          b.(i) <- v;
-          let floor_fp =
-            let saved = Array.sub b (i + 1) (d - i - 1) in
-            Array.fill b (i + 1) (d - i - 1) 1;
-            let fp = total_footprint spec b in
-            Array.blit saved 0 b (i + 1) (d - i - 1);
-            fp
-          in
-          if floor_fp <= m then go (i + 1))
-        values.(i)
-  in
-  go 0;
-  let grid_seed = Array.copy best in
-  let lp_seed = lp_seed_shared spec ~m in
-  let seed = if objective grid_seed < objective lp_seed then grid_seed else lp_seed in
-  refine_shared_with objective spec ~m seed
+  refine_shared sh lv ~m seed
 
 let nested spec ~ms =
   let n = Array.length ms in

@@ -54,14 +54,14 @@ val optimal_shared : Spec.t -> m:int -> int array
     tile's total footprint fits) sets the incumbent for a
     branch-and-bound sweep over power-of-two tile grids, pruned by a
     footprint floor and by an admissible traffic lower bound; a local
-    refinement pass follows. Emits [tiling.search.*] observability
-    counters. *)
-
-val optimal_shared_reference : Spec.t -> m:int -> int array
-(** The executable specification of {!optimal_shared}: the original
-    unpruned exhaustive sweep with the tile-grid-walk traffic objective.
-    Exponentially slower on large shapes; exists so the property tests
-    can assert the pruned search returns byte-identical tiles. *)
+    refinement pass follows. The sweep carries per-depth state down the
+    tree (each array's prefix footprint, its running product of
+    non-support tile counts and its current lower-bound words), so one
+    ladder value costs O(n) for [n] arrays, and each leaf is judged from
+    the same state. Tiles and the [tiling.search.*] counters it emits
+    (nodes, leaves, pruned_bound, pruned_footprint) are those of the
+    earlier search that recomputed each bound from scratch; the test
+    oracle [test/tiling_reference.ml] keeps that search. *)
 
 val nested : Spec.t -> ms:int array -> int array list
 (** Tiles for a multi-level memory hierarchy with capacities [ms]
@@ -107,11 +107,5 @@ val analytic_traffic_retained : Spec.t -> int array -> traffic
     innermost multi-tile support dimension); this is the objective
     {!optimal_shared} minimizes. Falls back to {!analytic_traffic} when
     the tile grid exceeds [2*10^6] tiles. *)
-
-val analytic_traffic_retained_walk : Spec.t -> int array -> traffic
-(** The original O(num_tiles) implementation of
-    {!analytic_traffic_retained}: walk the tile grid and count block
-    changes. Kept as the executable specification the closed form is
-    property-tested against. Same [2*10^6]-tile fallback. *)
 
 val pp : Spec.t -> Format.formatter -> int array -> unit

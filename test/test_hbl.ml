@@ -556,6 +556,50 @@ let arb_small_spec_tile =
         (String.concat ";" (List.map string_of_int (Array.to_list b))))
     QCheck.Gen.(gen_small_spec >>= fun s -> gen_tile_for s >>= fun b -> return (s, b))
 
+(* Benchmark-sized shapes: up to 6 loops and 5 arrays of every access
+   mode, bounds 2-2048 and caches up to 65536 words. *)
+let gen_search_case =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun d ->
+    int_range 1 5 >>= fun n ->
+    let gen_support = list_size (int_range 1 d) (int_range 0 (d - 1)) in
+    list_size (return n) gen_support >>= fun supports ->
+    let supports =
+      Array.mapi
+        (fun j s -> (List.init d (fun i -> i) |> List.filter (fun i -> i mod n = j)) @ s)
+        (Array.of_list supports)
+    in
+    list_size (return n) (oneofl [ Spec.Read; Spec.Write; Spec.Update ]) >>= fun modes ->
+    let modes = Array.of_list modes in
+    array_size (return d) (map (fun e -> int_of_float (2.0 ** e)) (float_range 1.0 11.0))
+    >>= fun bounds ->
+    map (fun e -> Stdlib.max n (int_of_float (2.0 ** e))) (float_range 1.0 16.0) >>= fun m ->
+    let arrays =
+      Array.mapi
+        (fun j s -> Spec.array_ref ~mode:modes.(j) (Printf.sprintf "A%d" j) s)
+        supports
+    in
+    let loops = Array.init d (fun i -> Printf.sprintf "x%d" (i + 1)) in
+    match Spec.create ~name:"search" ~loops ~bounds ~arrays with
+    | Ok s -> return (s, m)
+    | Error e -> failwith (Spec.string_of_error e))
+
+let arb_search_case =
+  QCheck.make ~print:(fun (s, m) -> Printf.sprintf "%s\nm=%d" (print_spec s) m) gen_search_case
+
+(* [Tiling.optimal_shared] with the [tiling.search.*] counters it added. *)
+let optimal_shared_counted spec ~m =
+  let names =
+    [ "nodes"; "leaves"; "pruned_bound"; "pruned_footprint" ]
+    |> List.map (fun k -> Obs.counter ("tiling.search." ^ k))
+  in
+  let before = List.map Obs.value names in
+  let tile = Tiling.optimal_shared spec ~m in
+  match List.map2 (fun c v -> Obs.value c - v) names before with
+  | [ nodes; leaves; pruned_bound; pruned_footprint ] ->
+    (tile, { Tiling_reference.nodes; leaves; pruned_bound; pruned_footprint })
+  | _ -> assert false
+
 let shared_props =
   [
     (* The closed-form retained model must reproduce the tile-grid walk
@@ -564,7 +608,7 @@ let shared_props =
     QCheck.Test.make ~name:"closed-form retained traffic = grid walk" ~count:300
       arb_small_spec_tile (fun (spec, b) ->
         let cf = Tiling.analytic_traffic_retained spec b in
-        let walk = Tiling.analytic_traffic_retained_walk spec b in
+        let walk = Tiling_reference.analytic_traffic_retained_walk spec b in
         cf.Tiling.reads = walk.Tiling.reads && cf.Tiling.writes = walk.Tiling.writes);
     (* The pruned branch-and-bound with the closed-form objective must
        return byte-identical tiles to the original exhaustive search
@@ -573,7 +617,15 @@ let shared_props =
       (QCheck.pair arb_small_spec (QCheck.int_range 8 512))
       (fun (spec, m) ->
         QCheck.assume (m >= Spec.num_arrays spec);
-        Tiling.optimal_shared spec ~m = Tiling.optimal_shared_reference spec ~m);
+        Tiling.optimal_shared spec ~m = Tiling_reference.optimal_shared_reference spec ~m);
+    (* The per-depth search must visit exactly the tree the pre-rewrite
+       pruned search visited: same tile, same four counters, on shapes
+       as large as the benchmark's (beyond the exhaustive reference). *)
+    QCheck.Test.make ~name:"optimal_shared = pre-rewrite pruned search, counters too" ~count:200
+      arb_search_case (fun (spec, m) ->
+        let tile, search = optimal_shared_counted spec ~m in
+        let ref_tile, ref_search = Tiling_reference.optimal_shared_pruned spec ~m in
+        tile = ref_tile && search = ref_search);
   ]
 
 (* Regression: bounds near max_int. The power-of-two ladder used to loop
@@ -612,6 +664,39 @@ let test_huge_bounds_terminate () =
   check_traffic "analytic" (Tiling.analytic_traffic spec tile);
   check_traffic "retained" (Tiling.analytic_traffic_retained spec tile);
   Alcotest.(check bool) "num_tiles saturates positive" true (Tiling.num_tiles spec tile > 0)
+
+(* Regression: the slowest analytic-novel kernel of the benchmark's
+   seed-1 list. Pins the tile and the whole visited tree. *)
+let test_search_r111 () =
+  let spec =
+    Parser.parse_exn
+      "i0=237,i1=527,i2=452,i3=458,i4=575,i5=124 : A0[i2,i3] += \
+       A1[i0,i1,i2]*A2[i1]*A3[i2,i4,i5]*A4[i0,i1,i3]"
+  in
+  let tile, c = optimal_shared_counted spec ~m:11999 in
+  Alcotest.(check (array int)) "tile" [| 237; 1; 1; 32; 32; 124 |] tile;
+  Alcotest.(check (list int))
+    "nodes, leaves, pruned_bound, pruned_footprint" [ 10162; 29854; 24501; 26336 ]
+    Tiling_reference.[ c.nodes; c.leaves; c.pruned_bound; c.pruned_footprint ]
+
+(* Regression: the LP seed scaled its budget by [budget * m / total],
+   which wraps once budget * m passes max_int (m > 2^31 with a budget of
+   the same size), and the seed collapsed toward the all-ones tile. *)
+let test_seed_large_cache () =
+  let spec =
+    Parser.parse_exn "i = 1000000, j = 10000000, k = 10000000 : C[i,j] += A[i,k] * B[k,j]"
+  in
+  let m = 1 lsl 33 in
+  let tile = Tiling.optimal_shared spec ~m in
+  Alcotest.(check (array int)) "tile" [| 53509; 53509; 53510 |] tile;
+  Alcotest.(check bool) "fits" true (Tiling.total_footprint spec tile <= m);
+  let words b =
+    let tr = Tiling.analytic_traffic_retained spec b in
+    tr.Tiling.reads +. tr.Tiling.writes
+  in
+  let wrapped, _ = Tiling_reference.optimal_shared_pruned spec ~m in
+  Alcotest.(check (array int)) "wrapped seed's tile" [| 32768; 65536; 65536 |] wrapped;
+  Alcotest.(check bool) "fewer words than the wrapped seed's tile" true (words tile < words wrapped)
 
 let test_theorem2_q_validation () =
   Alcotest.check_raises "bad q index" (Invalid_argument "Hbl_lp.theorem2_q: index out of range")
@@ -894,6 +979,8 @@ let () =
           Alcotest.test_case "no worse than scaled" `Quick test_optimal_shared_no_worse_than_scaled;
           Alcotest.test_case "validation" `Quick test_optimal_shared_validation;
           Alcotest.test_case "huge bounds terminate" `Quick test_huge_bounds_terminate;
+          Alcotest.test_case "search tree of novel kernel r111" `Quick test_search_r111;
+          Alcotest.test_case "LP seed for m > 2^31" `Quick test_seed_large_cache;
         ] );
       ("shared-tile properties", List.map QCheck_alcotest.to_alcotest shared_props);
       ("properties", List.map QCheck_alcotest.to_alcotest props);
